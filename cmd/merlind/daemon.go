@@ -341,9 +341,9 @@ func (d *Daemon) applyDelta(w merlin.WireDelta) opResult {
 	}
 	// Direct deltas reset hub mode: the hub's policy no longer matches.
 	d.dropHub()
-	in, rm := diff.Counts()
+	in, rm := diff.Size()
 	return opResult{http.StatusOK, map[string]any{
-		"seq": seq, "install": in.Total(), "remove": rm.Total(),
+		"seq": seq, "install": in, "remove": rm,
 	}}
 }
 
@@ -356,9 +356,9 @@ func (d *Daemon) applyTopoOps(batch []*op) {
 	var errs []string
 	applied := d.c.ApplyTopoBatch(events,
 		func(diff *merlin.Diff) {
-			in, rm := diff.Counts()
-			install += in.Total()
-			remove += rm.Total()
+			in, rm := diff.Size()
+			install += in
+			remove += rm
 		},
 		func(err error) { errs = append(errs, err.Error()) })
 	d.applyBroke = len(errs) > 0 && len(applied) > 0

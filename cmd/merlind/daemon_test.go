@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"merlin"
+	"merlin/internal/codegen"
 	"merlin/internal/journal"
 	"merlin/internal/topo"
 )
@@ -90,7 +91,6 @@ func sameResults(t *testing.T, label string, got, want *merlin.Result) {
 		"paths":       reflect.DeepEqual(got.Paths, want.Paths),
 		"placements":  reflect.DeepEqual(got.Placements, want.Placements),
 		"allocations": reflect.DeepEqual(got.Allocations, want.Allocations),
-		"programs":    reflect.DeepEqual(got.Programs, want.Programs),
 		"outputs":     reflect.DeepEqual(got.Outputs, want.Outputs),
 	} {
 		if !check {
@@ -376,6 +376,65 @@ func TestDaemonHubTickJournaled(t *testing.T) {
 	if status, _ := postJSON(t, srv2.URL+"/v1/hub/demand", hubRequest{Tenant: "tenant-a", DemandBps: merlin.MBps}); status != http.StatusNotFound {
 		t.Fatalf("stale session demand = %d, want 404", status)
 	}
+}
+
+// entryDelta sums, over every target of the two results, the entries
+// the newer result adds (install) and drops (remove) as multisets.
+func entryDelta(old, new *merlin.Result) (install, remove int) {
+	for name, art := range new.Outputs {
+		count := map[codegen.Entry]int{}
+		for _, e := range art.Entries() {
+			count[e]++
+		}
+		for _, e := range old.Outputs[name].Entries() {
+			count[e]--
+		}
+		for _, n := range count {
+			if n > 0 {
+				install += n
+			} else {
+				remove -= n
+			}
+		}
+	}
+	return install, remove
+}
+
+// TestDaemonDeltaCountsEveryTarget: the install/remove totals /v1/delta
+// and /v1/topo report are sums over every compiled target — a cap change
+// moves tc commands and end-host programs, and both must be counted.
+func TestDaemonDeltaCountsEveryTarget(t *testing.T) {
+	d, err := NewDaemon(fatTreeConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	tp := merlin.FatTree(4, merlin.Gbps) // naming reference only
+
+	check := func(label, path string, body any) {
+		t.Helper()
+		before := d.c.Result()
+		status, reply := postJSON(t, srv.URL+path, body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: %d %v", label, status, reply)
+		}
+		install, remove := entryDelta(before, d.c.Result())
+		if install == 0 && remove == 0 {
+			t.Fatalf("%s changed no entries", label)
+		}
+		if reply["install"].(float64) != float64(install) || reply["remove"].(float64) != float64(remove) {
+			t.Fatalf("%s reported install %v remove %v, want %d/%d summed over every target",
+				label, reply["install"], reply["remove"], install, remove)
+		}
+	}
+	check("cap delta", "/v1/delta", merlin.WireDelta{Formula: "min(g0, 10Mbps) and min(g1, 15Mbps) and max(g0, 30Mbps)"})
+	if host := d.c.Result().Outputs[codegen.TargetHost]; len(host.Entries()) == 0 {
+		t.Fatal("cap delta installed no end-host program")
+	}
+	check("add delta", "/v1/delta", podDelta(tp, 1, "g2", 20))
+	check("topo", "/v1/topo", merlin.WireTopoEvents([]merlin.TopoEvent{merlin.LinkFailure("edge0_0", "agg0_0")}))
 }
 
 func TestParseTopoSpec(t *testing.T) {

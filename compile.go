@@ -3,14 +3,11 @@ package merlin
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"merlin/internal/codegen"
-	"merlin/internal/interp"
 	"merlin/internal/logical"
 	"merlin/internal/mip"
 	"merlin/internal/policy"
@@ -20,6 +17,7 @@ import (
 	"merlin/internal/sinktree"
 	"merlin/internal/ternary"
 	"merlin/internal/topo"
+	"merlin/internal/workpool"
 )
 
 // Options tune compilation.
@@ -91,39 +89,6 @@ type Options struct {
 	TopoDebounce time.Duration
 }
 
-// parallelDo runs f(0..n-1) over a bounded worker pool. Each index is
-// processed exactly once; f must only write to per-index state.
-func parallelDo(n, workers int, f func(i int)) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-}
-
 // Timing breaks down where compilation time went — the Table 7 columns.
 // For an incremental run only the work actually performed is counted, so
 // a cache-served phase reports (near) zero.
@@ -163,14 +128,11 @@ type Result struct {
 	// Outputs holds each requested backend's emitted artifact, keyed by
 	// target name (Options.Targets).
 	Outputs map[string]codegen.Artifact
-	// Output aggregates the built-in backends' artifacts into the legacy
-	// device-configuration struct. Sections whose backend was not
-	// targeted stay empty.
+	// Output aggregates the openflow, tc, and click artifacts into the
+	// legacy device-configuration struct. Sections whose backend was not
+	// targeted stay empty; the end-host interpreter programs are the
+	// "host" target's Outputs entry.
 	Output *codegen.Output
-	// Programs holds per-host end-host interpreter programs enforcing
-	// caps and payload filters (the §3.4 kernel-module backend) — the
-	// "host" target's artifact.
-	Programs map[NodeID]*interp.Program
 	// Timing breaks down compile phases.
 	Timing Timing
 }
@@ -348,7 +310,7 @@ func (c *Compiler) statementStage(run *runState) error {
 			worklist = append(worklist, idx)
 		}
 	}
-	parallelDo(len(worklist), c.opts.Workers, func(wi int) {
+	workpool.Do(len(worklist), c.opts.Workers, func(wi int) {
 		idx := worklist[wi]
 		s := work.Statements[idx]
 		art := arts[idx]
@@ -612,7 +574,7 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 		missing = append(missing, i)
 	}
 	graphErrs := make([]error, len(missing))
-	parallelDo(len(missing), c.opts.Workers, func(mi int) {
+	workpool.Do(len(missing), c.opts.Workers, func(mi int) {
 		i := missing[mi]
 		g, err := logical.BuildMinimized(c.t, keyExpr[i], c.alpha)
 		if err != nil {
@@ -665,7 +627,7 @@ func (c *Compiler) bestEffortStage(run *runState, plans []codegen.Plan) ([]codeg
 		missingTrees = append(missingTrees, ji)
 	}
 	treeErrs := make([]error, len(missingTrees))
-	parallelDo(len(missingTrees), c.opts.Workers, func(mi int) {
+	workpool.Do(len(missingTrees), c.opts.Workers, func(mi int) {
 		ji := missingTrees[mi]
 		tr, err := sinktree.TreeTo(graphs[jobs[ji].graph].g, jobs[ji].dst)
 		if err != nil {
@@ -967,15 +929,11 @@ func (c *Compiler) checkTargets() error {
 }
 
 // installArtifacts wires a pass's emitted artifacts into the result:
-// per-backend map, legacy aggregate Output, and the host backend's
-// interpreter programs.
+// per-backend map and legacy aggregate Output.
 func (c *Compiler) installArtifacts(run *runState, prog *codegen.Program, arts map[string]codegen.Artifact) {
 	run.res.IR = prog
 	run.res.Outputs = arts
 	run.res.Output = codegen.AssembleOutput(arts)
-	if ha, ok := arts[codegen.TargetHost].(*codegen.HostArtifact); ok {
-		run.res.Programs = ha.Programs
-	}
 }
 
 // codegenPatch is the caps-only fast path (§4's bandwidth re-allocation
@@ -1003,14 +961,6 @@ func (c *Compiler) codegenPatch(run *runState) {
 				// would diff as "remove every cap".
 				arts[name] = c.last.Outputs[name]
 				continue
-			}
-			if tcArt, ok := art.(*codegen.TCArtifact); ok {
-				if lastTC, ok := c.last.Outputs[codegen.TargetTC].(*codegen.TCArtifact); ok {
-					// The filter section cannot change on a caps-only
-					// pass: share the slice so the diff's aliasing fast
-					// path sees it.
-					tcArt.IPTables = lastTC.IPTables
-				}
 			}
 			arts[name] = art
 		default:

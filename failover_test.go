@@ -105,8 +105,8 @@ func TestCompilerLinkDownRoundTrip(t *testing.T) {
 	if st.TopoEvents != base.TopoEvents+1 {
 		t.Fatalf("TopoEvents not counted: %+v", st)
 	}
-	in, rm := downDiff.Counts()
-	if in.Total() == 0 || rm.Total() == 0 {
+	in, rm := downDiff.Size()
+	if in == 0 || rm == 0 {
 		t.Fatalf("failure produced an empty reroute diff: %+v", downDiff)
 	}
 	// No surviving path crosses the failed cable.
@@ -133,7 +133,7 @@ func TestCompilerLinkDownRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(c.Result().Output, first.Output) {
 		t.Fatal("recovery did not restore the original configuration")
 	}
-	upIn, upRm := upDiff.Counts()
+	upIn, upRm := upDiff.Size()
 	if upIn != rm || upRm != in {
 		t.Fatalf("recovery diff %v/%v is not the failure diff %v/%v reversed", upIn, upRm, in, rm)
 	}
@@ -308,8 +308,8 @@ func TestWatchTopoMixedBatch(t *testing.T) {
 	if len(diffs) != 1 {
 		t.Fatalf("valid failure in a mixed batch produced %d diffs, want 1", len(diffs))
 	}
-	in, rm := diffs[0].Counts()
-	if in.Total() == 0 || rm.Total() == 0 {
+	in, rm := diffs[0].Size()
+	if in == 0 || rm == 0 {
 		t.Fatalf("mixed-batch reroute diff empty: %+v", diffs[0])
 	}
 	if l, ok := tp.FindLink(tp.MustLookup(a), tp.MustLookup(b)); ok {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"merlin/internal/codegen"
+	"merlin/internal/interp"
 	"merlin/internal/pred"
 	"merlin/internal/topo"
 )
@@ -154,14 +156,18 @@ func renderResult(res *Result) string {
 	for _, id := range tagIDs {
 		fmt.Fprintf(&sb, "%s: %v\n", id, out.Tags[id])
 	}
-	fmt.Fprintf(&sb, "== programs (%d)\n", len(res.Programs))
-	progHosts := make([]NodeID, 0, len(res.Programs))
-	for h := range res.Programs {
+	var programs map[NodeID]*interp.Program
+	if ha, ok := res.Outputs[codegen.TargetHost].(*codegen.HostArtifact); ok {
+		programs = ha.Programs
+	}
+	fmt.Fprintf(&sb, "== programs (%d)\n", len(programs))
+	progHosts := make([]NodeID, 0, len(programs))
+	for h := range programs {
 		progHosts = append(progHosts, h)
 	}
 	sort.Slice(progHosts, func(i, j int) bool { return progHosts[i] < progHosts[j] })
 	for _, h := range progHosts {
-		p := res.Programs[h]
+		p := programs[h]
 		fmt.Fprintf(&sb, "host=%d name=%s default=%s\n", h, p.Name, p.Default)
 		for _, cl := range p.Clauses {
 			fmt.Fprintf(&sb, "  op=%d rate=%g burst=%g pred=%s\n", cl.Op, cl.RateBps, cl.BurstBytes, pred.Format(cl.Pred))
@@ -181,7 +187,7 @@ func renderResult(res *Result) string {
 
 // TestGoldenBackendParity locks the default-target backend output of the
 // four example workloads byte-for-byte against the committed golden files,
-// which were generated by the pre-redesign monolithic codegen.Generate.
+// which were generated by the pre-redesign monolithic code generator.
 // Any change to lowering, a built-in backend, or target routing that
 // perturbs a single byte of OpenFlow/Click/tc/iptables/host output fails
 // here.

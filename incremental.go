@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"merlin/internal/codegen"
-	"merlin/internal/interp"
 	"merlin/internal/logical"
 	"merlin/internal/negotiate"
 	"merlin/internal/policy"
@@ -438,33 +437,15 @@ func (c *Compiler) Update(d Delta) (*Diff, error) {
 }
 
 // diffResults builds the device-level delta between two compiled
-// results: the typed sections for the built-in backends (plus the
-// end-host interpreter programs, which live on the Result rather than
-// the Output), and one native-form ArtifactDiff per non-builtin backend
-// (Diff.Backends) computed by that backend's own Diff method.
+// results: one native-form ArtifactDiff per compiled target, computed by
+// that backend's own Diff method.
 func diffResults(old, new *Result) *Diff {
-	var oldOut *codegen.Output
-	oldPrograms := map[NodeID]*interp.Program{}
-	if old != nil {
-		oldOut = old.Output
-		oldPrograms = old.Programs
-	}
-	d := codegen.DiffOutputs(oldOut, new.Output)
-	d.DiffPrograms(oldPrograms, new.Programs)
+	d := &Diff{Backends: make(map[string]codegen.ArtifactDiff, len(new.Outputs))}
 	for name, art := range new.Outputs {
-		if codegen.IsBuiltinTarget(name) {
-			continue
-		}
-		b, ok := codegen.Lookup(name)
-		if !ok {
-			continue
-		}
+		b, _ := codegen.Lookup(name) // presence checked by checkTargets
 		var oldArt codegen.Artifact
 		if old != nil {
 			oldArt = old.Outputs[name]
-		}
-		if d.Backends == nil {
-			d.Backends = map[string]codegen.ArtifactDiff{}
 		}
 		d.Backends[name] = b.Diff(oldArt, art)
 	}
@@ -520,7 +501,6 @@ func (c *Compiler) recompile(pol *Policy) (*Result, error) {
 	res := &Result{
 		Paths:      map[string][]string{},
 		Placements: map[string][]PlacementChoice{},
-		Programs:   map[NodeID]*interp.Program{},
 	}
 	run := &runState{res: res}
 	run.aliased = c.artSource != nil && sameStatementSlice(pol.Statements, c.artSource)
@@ -630,17 +610,42 @@ func sameStatementSlice(a, b []policy.Statement) bool {
 // one — its commits stop reaching this compiler. Unwatch drops the
 // binding entirely.
 func (c *Compiler) Watch(n *Negotiator, onDiff func(*Diff)) {
+	bindCommits(c, &c.neg, n, onDiff)
+}
+
+// Unwatch detaches the bound negotiator, if any: its commits no longer
+// reach this compiler.
+func (c *Compiler) Unwatch() {
+	bindCommits(c, &c.neg, nil, nil)
+}
+
+// committer is a commit source a compiler can follow: a Negotiator or a
+// Hub, each with a single commit callback.
+type committer interface {
+	comparable
+	OnCommit(negotiate.CommitFunc)
+}
+
+// bindCommits makes src the compiler's bound commit source in *slot
+// (nil unbinds): the previously bound source's callback is detached, and
+// every src commit recompiles through compileDiff and hands the diff to
+// onDiff (which may be nil).
+func bindCommits[S committer](c *Compiler, slot *S, src S, onDiff func(*Diff)) {
+	var none S
 	c.mu.Lock()
-	old := c.neg
-	c.neg = n
+	old := *slot
+	*slot = src
 	c.mu.Unlock()
-	// Callback swaps happen outside c.mu: OnCommit takes the negotiator
+	// Callback swaps happen outside c.mu: OnCommit takes the source's
 	// lock, which a committing tick holds while it recompiles through
-	// c.mu — the compiler lock must never wait on a negotiator lock.
-	if old != nil && old != n {
+	// c.mu — the compiler lock must never wait on a source lock.
+	if old != none && old != src {
 		old.OnCommit(nil)
 	}
-	n.OnCommit(func(pol *policy.Policy, pathsChanged bool) error {
+	if src == none {
+		return
+	}
+	src.OnCommit(func(pol *policy.Policy, pathsChanged bool) error {
 		diff, err := c.compileDiff(pol)
 		if err != nil {
 			return err
@@ -650,18 +655,6 @@ func (c *Compiler) Watch(n *Negotiator, onDiff func(*Diff)) {
 		}
 		return nil
 	})
-}
-
-// Unwatch detaches the bound negotiator, if any: its commits no longer
-// reach this compiler.
-func (c *Compiler) Unwatch() {
-	c.mu.Lock()
-	old := c.neg
-	c.neg = nil
-	c.mu.Unlock()
-	if old != nil {
-		old.OnCommit(nil)
-	}
 }
 
 // compileDiff is Compile plus a diff against the previous result, under

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"merlin/internal/codegen"
 	"merlin/internal/negotiate"
 	"merlin/internal/policy"
 	"merlin/internal/pred"
@@ -31,7 +32,7 @@ func sameCompiled(t *testing.T, label string, got *Result, pol *Policy, tp *Topo
 	if !reflect.DeepEqual(got.Allocations, want.Allocations) {
 		t.Fatalf("%s: allocations differ", label)
 	}
-	if !reflect.DeepEqual(got.Programs, want.Programs) {
+	if !reflect.DeepEqual(got.Outputs[codegen.TargetHost], want.Outputs[codegen.TargetHost]) {
 		t.Fatalf("%s: end-host programs differ", label)
 	}
 }
@@ -86,17 +87,15 @@ func TestCompilerCapChangePatches(t *testing.T) {
 	}
 	// The diff touches only tc commands (and both install and remove,
 	// since the caps moved rather than appeared).
-	if len(diff.InstallRules) != 0 || len(diff.RemoveRules) != 0 ||
-		len(diff.InstallQueues) != 0 || len(diff.RemoveQueues) != 0 ||
-		len(diff.InstallClick) != 0 || len(diff.RemoveClick) != 0 {
+	if !diff.Backends[codegen.TargetOpenFlow].Empty() || !diff.Backends[codegen.TargetClick].Empty() {
 		t.Fatalf("cap change diffed non-tc sections: %+v", diff)
 	}
-	if len(diff.InstallTC) == 0 || len(diff.RemoveTC) == 0 {
+	if tc := diff.Backends[codegen.TargetTC]; len(tc.Install) == 0 || len(tc.Remove) == 0 {
 		t.Fatalf("cap change produced no tc delta: %+v", diff)
 	}
 	// The end-host interpreter rate limits moved with the cap, so the
 	// diff must carry replacement programs for the affected hosts.
-	if len(diff.InstallPrograms) == 0 || len(diff.RemovePrograms) == 0 {
+	if host := diff.Backends[codegen.TargetHost]; len(host.Install) == 0 || len(host.Remove) == 0 {
 		t.Fatalf("cap change produced no program delta: %+v", diff)
 	}
 
@@ -170,7 +169,7 @@ func TestCompilerAddRemoveStatement(t *testing.T) {
 	if st.StatementBuilds != base.StatementBuilds+1 {
 		t.Fatalf("add rebuilt %d statements, want 1", st.StatementBuilds-base.StatementBuilds)
 	}
-	if len(diff.InstallRules) == 0 {
+	if len(diff.Backends[codegen.TargetOpenFlow].Install) == 0 {
 		t.Fatal("adding a statement installed no rules")
 	}
 	newPol := &Policy{Statements: append(append([]Statement(nil), pol.Statements...), extraPol.Statements...), Formula: pol.Formula}
@@ -183,7 +182,7 @@ func TestCompilerAddRemoveStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diff.RemoveRules) == 0 {
+	if len(diff.Backends[codegen.TargetOpenFlow].Remove) == 0 {
 		t.Fatalf("removing the statement removed no rules: %+v", diff)
 	}
 	if !reflect.DeepEqual(c.Result().Output, firstOut) {
@@ -370,7 +369,7 @@ func TestCompilerWatchNegotiator(t *testing.T) {
 		t.Fatalf("got %d diffs for %d ticks", len(diffs), ticks)
 	}
 	for i, d := range diffs {
-		if len(d.InstallRules) != 0 || len(d.RemoveRules) != 0 {
+		if !d.Backends[codegen.TargetOpenFlow].Empty() {
 			t.Fatalf("tick %d diff churned rules", i)
 		}
 	}

@@ -37,7 +37,8 @@ type Artifact interface {
 	Entries() []Entry
 }
 
-// Entry is one rendered configuration line on one device.
+// Entry is one rendered configuration line on one device. It is
+// comparable, so multiset diffs key on it directly.
 type Entry struct {
 	Device topo.NodeID
 	Text   string
@@ -70,9 +71,7 @@ func DiffArtifacts(backend string, old, new Artifact) ArtifactDiff {
 	if new != nil {
 		newE = new.Entries()
 	}
-	d.Install, d.Remove = diffEntries(newE, oldE, func(e Entry) string {
-		return fmt.Sprintf("%d|%s", e.Device, e.Text)
-	})
+	d.Install, d.Remove = diffEntries(newE, oldE)
 	return d
 }
 
@@ -198,9 +197,9 @@ func DefaultTargets() []string {
 }
 
 // IsBuiltinTarget reports whether the named backend is one of the four
-// built-ins whose artifacts assemble into the legacy Output struct (and
-// whose deltas appear in Diff's typed sections rather than
-// Diff.Backends).
+// built-ins. The openflow, tc, and click artifacts also assemble into the
+// legacy Output struct; every target's delta, built-in or not, is its
+// entry in Diff.Backends.
 func IsBuiltinTarget(name string) bool {
 	switch name {
 	case TargetOpenFlow, TargetTC, TargetClick, TargetHost:
@@ -208,12 +207,6 @@ func IsBuiltinTarget(name string) bool {
 	}
 	return false
 }
-
-// IsBuiltin reports whether the named backend is a built-in.
-//
-// Deprecated: renamed IsBuiltinTarget in the backend API v2; this alias
-// keeps existing callers compiling.
-func IsBuiltin(name string) bool { return IsBuiltinTarget(name) }
 
 func init() {
 	Register(openflowBackend{})

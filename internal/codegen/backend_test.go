@@ -24,12 +24,12 @@ func TestDefaultTargetsRegistered(t *testing.T) {
 		if b.Name() != name {
 			t.Fatalf("backend %q reports name %q", name, b.Name())
 		}
-		if !IsBuiltin(name) {
+		if !IsBuiltinTarget(name) {
 			t.Fatalf("default target %q not recognized as builtin", name)
 		}
 	}
-	if IsBuiltin("p4") {
-		t.Fatal("p4 must not be a builtin: its diffs route through Diff.Backends")
+	if IsBuiltinTarget("p4") {
+		t.Fatal("p4 must not be a builtin: it has no legacy Output section")
 	}
 }
 

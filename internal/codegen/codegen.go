@@ -10,7 +10,9 @@
 // host-side rate limits and filters, Click configurations for middlebox
 // packet-processing functions, and end-host interpreter programs. New
 // device families (P4, eBPF, vendor CLIs) plug in by implementing Backend
-// against the same IR.
+// against the same IR. Every backend renders its artifact as per-device
+// Entries, and a Diff between two compiled results is one such
+// entry-level ArtifactDiff per target, built-ins included.
 package codegen
 
 import (
@@ -116,31 +118,6 @@ func (o *Output) Counts() Counts {
 
 // Total is the grand instruction total.
 func (c Counts) Total() int { return c.OpenFlow + c.Queues + c.TC + c.IPTables + c.Click }
-
-// Generate lowers plans to the IR and emits the default dataplane
-// backends (OpenFlow, tc/iptables, Click), assembled into the legacy
-// Output. It is byte-identical to the pre-registry monolithic generator;
-// callers wanting per-backend artifacts (or non-default targets such as
-// P4) should call Lower and the backends directly.
-func Generate(t *topo.Topology, plans []Plan) (*Output, error) {
-	prog, err := Lower(t, plans)
-	if err != nil {
-		return nil, err
-	}
-	arts := make(map[string]Artifact, 3)
-	for _, name := range []string{TargetOpenFlow, TargetTC, TargetClick} {
-		b, ok := Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("codegen: built-in backend %q not registered", name)
-		}
-		art, err := b.Emit(t, prog)
-		if err != nil {
-			return nil, fmt.Errorf("codegen: backend %s: %w", name, err)
-		}
-		arts[name] = art
-	}
-	return AssembleOutput(arts), nil
-}
 
 // CapApplies reports whether a statement cap emits a host-side tc
 // command (finite and nonzero).

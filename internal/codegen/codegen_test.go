@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -39,6 +41,23 @@ func graphFor(t testing.TB, tp *topo.Topology, expr string, placement map[string
 	return g
 }
 
+// generate lowers plans and emits the openflow, tc, and click backends,
+// assembled into the legacy Output.
+func generate(tp *topo.Topology, plans []Plan) (*Output, error) {
+	prog, err := Lower(tp, plans)
+	if err != nil {
+		return nil, err
+	}
+	arts := map[string]Artifact{}
+	for _, name := range []string{TargetOpenFlow, TargetTC, TargetClick} {
+		b, _ := Lookup(name)
+		if arts[name], err = b.Emit(tp, prog); err != nil {
+			return nil, err
+		}
+	}
+	return AssembleOutput(arts), nil
+}
+
 // inject sends a TCP packet between two hosts through the compiled rules.
 func inject(t *testing.T, tp *topo.Topology, out *Output, src, dst topo.NodeID, dstPort uint16) openflow.Trace {
 	t.Helper()
@@ -67,7 +86,7 @@ func TestBestEffortTreeForwarding(t *testing.T) {
 		Alloc: policy.Unconstrained, Classify: ByDestination,
 		SrcHost: h1, DstHost: h2, Tree: tree,
 	}}
-	out, err := Generate(tp, plans)
+	out, err := generate(tp, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +116,7 @@ func TestGuaranteedPathForwardingAndQueues(t *testing.T) {
 		Alloc:   policy.Alloc{Min: 100 * topo.Mbps, Max: math.Inf(1)},
 		SrcHost: h1, DstHost: h2, Path: steps,
 	}}
-	out, err := Generate(tp, plans)
+	out, err := generate(tp, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +148,7 @@ func TestMiddleboxWaypointForwarding(t *testing.T) {
 		ID: "w", Predicate: pairPred(t, tp, h1, h2), Priority: 10,
 		Alloc: policy.Unconstrained, SrcHost: h1, DstHost: h2, Tree: tree,
 	}}
-	out, err := Generate(tp, plans)
+	out, err := generate(tp, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +194,7 @@ func TestClassificationPriorities(t *testing.T) {
 		{ID: "rest", Predicate: pair, Priority: 10, Alloc: policy.Unconstrained,
 			SrcHost: h1, DstHost: h2, Tree: treeAll},
 	}
-	out, err := Generate(tp, plans)
+	out, err := generate(tp, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +226,7 @@ func TestDropPlan(t *testing.T) {
 		ID: "blocked", Predicate: pairPred(t, tp, h1, h2), Priority: 30,
 		Alloc: policy.Unconstrained, SrcHost: h1, DstHost: h2, Drop: true,
 	}}
-	out, err := Generate(tp, plans)
+	out, err := generate(tp, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +252,7 @@ func TestTCForCaps(t *testing.T) {
 		Alloc:   policy.Alloc{Min: 0, Max: 50 * topo.MBps},
 		SrcHost: h1, DstHost: h2, Tree: tree,
 	}}
-	out, err := Generate(tp, plans)
+	out, err := generate(tp, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +283,7 @@ func TestSharedTreeRulesAreDeduplicated(t *testing.T) {
 			SrcHost: src, DstHost: dst, Tree: tree,
 		})
 	}
-	out, err := Generate(tp, plans)
+	out, err := generate(tp, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +328,7 @@ func TestAllPairsFatTreeEndToEnd(t *testing.T) {
 			prio--
 		}
 	}
-	out, err := Generate(tp, plans)
+	out, err := generate(tp, plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,5 +354,37 @@ func TestCountsTotals(t *testing.T) {
 	c := Counts{OpenFlow: 3, Queues: 2, TC: 1, IPTables: 1, Click: 1}
 	if c.Total() != 8 {
 		t.Fatalf("Total = %d", c.Total())
+	}
+}
+
+// TestLowerTagSpaceExhausted: a plan list needing more path tags than the
+// tag space holds fails with a typed error instead of panicking.
+func TestLowerTagSpaceExhausted(t *testing.T) {
+	tp := topo.Linear(3, topo.Gbps)
+	h1, h2 := tp.MustLookup("h1"), tp.MustLookup("h2")
+	g := graphFor(t, tp, "h1 .* h2", nil)
+	steps, err := g.DecodePath(g.ShortestPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pairPred(t, tp, h1, h2)
+	plans := make([]Plan, 4100)
+	for i := range plans {
+		plans[i] = Plan{
+			ID: fmt.Sprintf("g%d", i), Predicate: p, Priority: len(plans) - i,
+			Alloc:   policy.Alloc{Min: topo.Mbps, Max: math.Inf(1)},
+			SrcHost: h1, DstHost: h2, Path: steps,
+		}
+	}
+	if _, err := Lower(tp, plans[:lastTag-firstTag+1]); err != nil {
+		t.Fatalf("a full tag space failed to lower: %v", err)
+	}
+	_, err = Lower(tp, plans)
+	var tse *TagSpaceError
+	if !errors.As(err, &tse) {
+		t.Fatalf("Lower of %d path plans: err = %v, want *TagSpaceError", len(plans), err)
+	}
+	if tse.Allocated != lastTag-firstTag+1 {
+		t.Fatalf("allocated %d tags before failing, want %d", tse.Allocated, lastTag-firstTag+1)
 	}
 }

@@ -4,83 +4,54 @@ import (
 	"reflect"
 	"testing"
 
-	"merlin/internal/openflow"
 	"merlin/internal/topo"
 )
 
-func rule(in int, prio int, vlan int) openflow.Rule {
-	return openflow.Rule{
-		Switch:   3,
-		Priority: prio,
-		Match:    openflow.Match{InPort: topo.LinkID(in), VLAN: vlan},
-		Actions:  []openflow.Action{openflow.Output{Port: 1}},
-	}
-}
-
-func TestDiffOutputs(t *testing.T) {
-	old := &Output{
-		Rules:  []openflow.Rule{rule(1, 500, 2), rule(2, 500, 2)},
-		Queues: []QueueConfig{{Switch: 3, Port: 1, Queue: 1, MinBps: 5e6}},
-		TC:     []HostCommand{{Host: 7, Kind: "tc", Command: "tc old"}},
-	}
-	new := &Output{
-		Rules:  []openflow.Rule{rule(2, 500, 2), rule(4, 500, 3)}, // rule(1) gone, rule(4) added
-		Queues: []QueueConfig{{Switch: 3, Port: 1, Queue: 1, MinBps: 5e6}},
-		TC:     []HostCommand{{Host: 7, Kind: "tc", Command: "tc new"}},
-	}
-	d := DiffOutputs(old, new)
-	if len(d.InstallRules) != 1 || len(d.RemoveRules) != 1 {
-		t.Fatalf("rule diff wrong: %+v", d)
-	}
-	if !reflect.DeepEqual(d.InstallRules[0], rule(4, 500, 3)) || !reflect.DeepEqual(d.RemoveRules[0], rule(1, 500, 2)) {
-		t.Fatalf("rule diff picked wrong rules: %+v", d)
-	}
-	if len(d.InstallQueues) != 0 || len(d.RemoveQueues) != 0 {
-		t.Fatalf("identical queues diffed: %+v", d)
-	}
-	if len(d.InstallTC) != 1 || len(d.RemoveTC) != 1 {
-		t.Fatalf("tc diff wrong: %+v", d)
-	}
-	install, remove := d.Counts()
-	if install.Total() != 2 || remove.Total() != 2 {
-		t.Fatalf("counts wrong: %+v %+v", install, remove)
+func TestDiffSizeAndDevices(t *testing.T) {
+	old := &OpenFlowArtifact{Queues: []QueueConfig{{Switch: 3, Port: 1, Queue: 1, MinBps: 5e6}}}
+	new := &OpenFlowArtifact{Queues: []QueueConfig{{Switch: 3, Port: 1, Queue: 1, MinBps: 6e6}}}
+	d := &Diff{Backends: map[string]ArtifactDiff{
+		TargetOpenFlow: DiffArtifacts(TargetOpenFlow, old, new),
+		TargetTC: DiffArtifacts(TargetTC,
+			&TCArtifact{TC: []HostCommand{{Host: 7, Kind: "tc", Command: "tc old"}}},
+			&TCArtifact{TC: []HostCommand{{Host: 7, Kind: "tc", Command: "tc new"}}}),
+		TargetHost: DiffArtifacts(TargetHost, nil, &HostArtifact{}),
+	}}
+	if install, remove := d.Size(); install != 2 || remove != 2 {
+		t.Fatalf("Size = %d/%d, want 2/2", install, remove)
 	}
 	if d.Empty() {
 		t.Fatal("non-empty diff reported empty")
 	}
-	devs := d.Devices()
-	if len(devs) != 2 { // switch 3 and host 7
-		t.Fatalf("devices wrong: %v", devs)
+	if devs := d.Devices(); !reflect.DeepEqual(devs, []topo.NodeID{3, 7}) {
+		t.Fatalf("devices = %v, want [3 7]", devs)
+	}
+	if !(&Diff{}).Empty() {
+		t.Fatal("zero diff not empty")
 	}
 }
 
-func TestDiffOutputsIdentityAndNil(t *testing.T) {
-	out := &Output{
-		Rules: []openflow.Rule{rule(1, 500, 2)},
-		TC:    []HostCommand{{Host: 7, Kind: "tc", Command: "x"}},
+func TestDiffArtifactsEqualReorderedAndNil(t *testing.T) {
+	q1 := QueueConfig{Switch: 3, Port: 1, Queue: 1, MinBps: 5e6}
+	q2 := QueueConfig{Switch: 4, Port: 2, Queue: 1, MinBps: 7e6}
+	art := &OpenFlowArtifact{Queues: []QueueConfig{q1, q2}}
+	// Equal-by-value but distinct artifacts diff as empty.
+	clone := &OpenFlowArtifact{Queues: append([]QueueConfig(nil), art.Queues...)}
+	if d := DiffArtifacts(TargetOpenFlow, art, clone); !d.Empty() {
+		t.Fatalf("equal artifacts diffed: %+v", d)
 	}
-	// Aliased sections (the patched-output case) diff as empty.
-	shallow := *out
-	if d := DiffOutputs(out, &shallow); !d.Empty() {
-		t.Fatalf("aliased outputs diffed: %+v", d)
+	// Reordered entries diff as empty (multiset semantics).
+	swapped := &OpenFlowArtifact{Queues: []QueueConfig{q2, q1}}
+	if d := DiffArtifacts(TargetOpenFlow, art, swapped); !d.Empty() {
+		t.Fatalf("reordered artifacts diffed: %+v", d)
 	}
-	// Equal-by-value but distinct slices also diff as empty.
-	clone := &Output{
-		Rules: append([]openflow.Rule(nil), out.Rules...),
-		TC:    append([]HostCommand(nil), out.TC...),
+	// Duplicates count: one copy more installs one entry.
+	dup := &OpenFlowArtifact{Queues: []QueueConfig{q1, q2, q1}}
+	if d := DiffArtifacts(TargetOpenFlow, art, dup); len(d.Install) != 1 || len(d.Remove) != 0 {
+		t.Fatalf("duplicate entry diff wrong: %+v", d)
 	}
-	if d := DiffOutputs(out, clone); !d.Empty() {
-		t.Fatalf("equal outputs diffed: %+v", d)
-	}
-	// Reordered rules diff as empty (multiset semantics).
-	two := &Output{Rules: []openflow.Rule{rule(1, 500, 2), rule(2, 400, 3)}}
-	swapped := &Output{Rules: []openflow.Rule{rule(2, 400, 3), rule(1, 500, 2)}}
-	if d := DiffOutputs(two, swapped); !d.Empty() {
-		t.Fatalf("reordered outputs diffed: %+v", d)
-	}
-	// nil acts as empty: everything installs.
-	d := DiffOutputs(nil, out)
-	if len(d.InstallRules) != 1 || len(d.InstallTC) != 1 || len(d.RemoveRules) != 0 {
-		t.Fatalf("nil-old diff wrong: %+v", d)
+	// nil acts as empty: everything removes.
+	if d := DiffArtifacts(TargetOpenFlow, art, nil); len(d.Remove) != 2 || len(d.Install) != 0 {
+		t.Fatalf("nil-new diff wrong: %+v", d)
 	}
 }

@@ -179,7 +179,9 @@ type queueKey struct {
 // Lower turns plans into the target-neutral Program: path tags are
 // allocated, classification and forwarding rules laid out with conflict
 // retagging, queues reserved, caps, filters, and function instances
-// recorded. The output is deterministic in the plan list.
+// recorded. The output is deterministic in the plan list. A plan list
+// needing more path tags than the tag space holds fails with a wrapped
+// *TagSpaceError.
 func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 	g := &lowerer{
 		t:          t,
@@ -189,7 +191,7 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 		classBound: map[classKey]bool{},
 		queueBound: map[queueKey]bool{},
 		queueNext:  map[topo.LinkID]int{},
-		nextTag:    2, // tags 0/1 are reserved on real switches (VLAN semantics)
+		nextTag:    firstTag,
 	}
 	// Stable order: guaranteed paths first (their classification has
 	// higher effective priority anyway), then by ID.
@@ -202,13 +204,20 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 		case p.Drop:
 			g.lowerDrop(p)
 		case p.Path != nil:
-			if err := g.lowerPath(p, p.Path, g.allocTag(p.ID), true); err != nil {
+			tag, err := g.allocTag(p.ID)
+			if err == nil {
+				err = g.lowerPath(p, p.Path, tag, true)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
 			}
 		case p.Tree != nil:
 			tag, ok := treeTags[p.Tree]
 			if !ok {
-				tag = g.allocTag(p.ID)
+				var err error
+				if tag, err = g.allocTag(p.ID); err != nil {
+					return nil, fmt.Errorf("codegen: statement %s: %w", p.ID, err)
+				}
 				treeTags[p.Tree] = tag
 			} else {
 				g.prog.Tags[p.ID] = append(g.prog.Tags[p.ID], tag)
@@ -232,14 +241,34 @@ func Lower(t *topo.Topology, plans []Plan) (*Program, error) {
 	return g.prog, nil
 }
 
-func (g *lowerer) allocTag(id string) int {
+// Path tags are allocated from [firstTag, lastTag]: tags 0/1 are reserved
+// on real switches (VLAN semantics), and the 12-bit VLAN field tops out
+// below 4095.
+const (
+	firstTag = 2
+	lastTag  = 4093
+)
+
+// TagSpaceError is the typed error Lower returns when the plans need more
+// path tags than the tag space holds.
+type TagSpaceError struct {
+	// Allocated is the number of tags handed out before the failure.
+	Allocated int
+}
+
+// Error implements error.
+func (e *TagSpaceError) Error() string {
+	return fmt.Sprintf("tag space exhausted (%d path tags allocated)", e.Allocated)
+}
+
+func (g *lowerer) allocTag(id string) (int, error) {
+	if g.nextTag > lastTag {
+		return 0, &TagSpaceError{Allocated: g.nextTag - firstTag}
+	}
 	tag := g.nextTag
 	g.nextTag++
-	if g.nextTag >= 4095 {
-		panic("codegen: tag space exhausted")
-	}
 	g.prog.Tags[id] = append(g.prog.Tags[id], tag)
-	return tag
+	return tag, nil
 }
 
 // lowerDrop installs an edge filter at the source host's ingress device
@@ -323,7 +352,10 @@ func (g *lowerer) lowerPath(p Plan, steps []logical.Step, tag int, guaranteed bo
 			if !sameOps(g.prog.Rules[idx].Ops, ops) {
 				// Conflict: this (device, tag, port) already forwards
 				// elsewhere. Retag the previous hop onto a fresh tag.
-				fresh := g.allocTag(p.ID)
+				fresh, err := g.allocTag(p.ID)
+				if err != nil {
+					return err
+				}
 				if err := g.retagPrevious(p, locs, i, curTag, fresh); err != nil {
 					return err
 				}

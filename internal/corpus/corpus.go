@@ -32,9 +32,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"merlin/internal/topo"
+	"merlin/internal/workpool"
 	"merlin/internal/zoo"
 
 	merlin "merlin"
@@ -277,25 +277,12 @@ func Generate(spec Spec) (*Scenario, error) {
 func GenerateAll(specs []Spec, workers int) ([]*Scenario, error) {
 	out := make([]*Scenario, len(specs))
 	errs := make([]error, len(specs))
-	if workers <= 0 || workers > len(specs) {
+	if workers <= 0 {
 		workers = len(specs)
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = Generate(specs[i])
-			}
-		}()
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	workpool.Do(len(specs), workers, func(i int) {
+		out[i], errs[i] = Generate(specs[i])
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("spec %d (%s/%s): %w", i, specs[i].Topo, specs[i].Suite, err)

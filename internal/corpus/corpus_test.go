@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"merlin/internal/codegen"
 	"merlin/internal/corpus"
 
 	merlin "merlin"
@@ -175,7 +176,7 @@ func TestScheduleReplayRestoresOutput(t *testing.T) {
 			if !reflect.DeepEqual(got.Output, want.Output) {
 				t.Fatal("replayed output diverges from pristine compile")
 			}
-			if !reflect.DeepEqual(got.Programs, want.Programs) {
+			if !reflect.DeepEqual(got.Outputs[codegen.TargetHost], want.Outputs[codegen.TargetHost]) {
 				t.Fatal("replayed programs diverge from pristine compile")
 			}
 		})

@@ -7,11 +7,11 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"merlin/internal/codegen"
 	"merlin/internal/topo"
+	"merlin/internal/workpool"
 
 	merlin "merlin"
 )
@@ -119,28 +119,15 @@ func RunSweep(g Grid) *SweepResult {
 	specs := g.Specs()
 	cells := make([]CellResult, len(specs))
 	workers := g.Workers
-	if workers <= 0 || workers > len(specs) {
+	if workers <= 0 {
 		workers = len(specs)
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				diff := g.DiffEvery > 0 && i%g.DiffEvery == 0
-				budget := g.BudgetEvery > 0 && i%g.BudgetEvery == 0
-				cells[i] = runCellRepeated(specs[i], diff, budget, g.Repeats)
-				cells[i].Index = i
-			}
-		}()
-	}
-	for i := range specs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	workpool.Do(len(specs), workers, func(i int) {
+		diff := g.DiffEvery > 0 && i%g.DiffEvery == 0
+		budget := g.BudgetEvery > 0 && i%g.BudgetEvery == 0
+		cells[i] = runCellRepeated(specs[i], diff, budget, g.Repeats)
+		cells[i].Index = i
+	})
 	res := &SweepResult{Grid: g, Cells: cells}
 	for _, c := range cells {
 		if !c.OK() {
@@ -325,7 +312,7 @@ func recompile(spec Spec, opts merlin.Options) (*merlin.Result, error) {
 // sameOutputs compares the backend-visible outputs of two results.
 func sameOutputs(a, b *merlin.Result) bool {
 	return reflect.DeepEqual(a.Output, b.Output) &&
-		reflect.DeepEqual(a.Programs, b.Programs) &&
+		reflect.DeepEqual(a.Outputs[codegen.TargetHost], b.Outputs[codegen.TargetHost]) &&
 		len(a.IR.Rules) == len(b.IR.Rules)
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"merlin/internal/codegen"
 	"reflect"
 	"strings"
 	"time"
@@ -144,7 +145,7 @@ func FailoverRun(c FailoverCase) (Row, error) {
 	if !reflect.DeepEqual(got.Output, cold.Output) {
 		return Row{}, fmt.Errorf("incremental failover output diverges from cold recompile")
 	}
-	if !reflect.DeepEqual(got.Programs, cold.Programs) {
+	if !reflect.DeepEqual(got.Outputs[codegen.TargetHost], cold.Outputs[codegen.TargetHost]) {
 		return Row{}, fmt.Errorf("incremental failover programs diverge from cold recompile")
 	}
 	for id, path := range got.Paths {
@@ -163,8 +164,8 @@ func FailoverRun(c FailoverCase) (Row, error) {
 		return Row{}, fmt.Errorf("failure re-entered %d shards (reused %d), want 1 (%d): recovery is not shard-local",
 			resolved, reused, c.K-1)
 	}
-	install, remove := diff.Counts()
-	if install.Total() == 0 || remove.Total() == 0 {
+	install, remove := diff.Size()
+	if install == 0 || remove == 0 {
 		return Row{}, fmt.Errorf("failover produced an empty reroute diff")
 	}
 
@@ -180,7 +181,7 @@ func FailoverRun(c FailoverCase) (Row, error) {
 		"shards_resolved", fmt.Sprint(resolved),
 		"shards_reused", fmt.Sprint(reused),
 		"graphs_invalidated", fmt.Sprint(after.AnchoredInvalidated-before.AnchoredInvalidated),
-		"diff_install", fmt.Sprint(install.Total()),
-		"diff_remove", fmt.Sprint(remove.Total()),
+		"diff_install", fmt.Sprint(install),
+		"diff_remove", fmt.Sprint(remove),
 	), nil
 }

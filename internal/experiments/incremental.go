@@ -170,7 +170,7 @@ func IncrementalRun(c IncrementalCase) (Row, error) {
 			return Row{}, fmt.Errorf("incremental update produced a degenerate configuration")
 		}
 	}
-	install, remove := diff.Counts()
+	install, remove := diff.Size()
 	st := comp.Stats()
 	speedup := 0.0
 	if updMS > 0 {
@@ -180,8 +180,8 @@ func IncrementalRun(c IncrementalCase) (Row, error) {
 		"full_ms", fmt.Sprintf("%.1f", fullMS),
 		"update_ms", fmt.Sprintf("%.2f", updMS),
 		"speedup", fmt.Sprintf("%.1f", speedup),
-		"diff_install", fmt.Sprint(install.Total()),
-		"diff_remove", fmt.Sprint(remove.Total()),
+		"diff_install", fmt.Sprint(install),
+		"diff_remove", fmt.Sprint(remove),
 		"patched_codegen", fmt.Sprint(st.PatchedCodegens),
 		"warm_solves", fmt.Sprint(st.WarmSolves),
 	), nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"merlin/internal/codegen"
 	"reflect"
 	"strings"
 	"time"
@@ -294,7 +295,7 @@ func ZooFailoverRun(c ZooScaleCase) (Row, error) {
 	if !reflect.DeepEqual(got.Output, cold.Output) {
 		return Row{}, fmt.Errorf("incremental failover output diverges from cold recompile")
 	}
-	if !reflect.DeepEqual(got.Programs, cold.Programs) {
+	if !reflect.DeepEqual(got.Outputs[codegen.TargetHost], cold.Outputs[codegen.TargetHost]) {
 		return Row{}, fmt.Errorf("incremental failover programs diverge from cold recompile")
 	}
 	for id, path := range got.Paths {
@@ -313,7 +314,7 @@ func ZooFailoverRun(c ZooScaleCase) (Row, error) {
 		return Row{}, fmt.Errorf("failure re-entered %d shards (reused %d), want 1 (%d): recovery is not shard-local",
 			resolved, reused, len(names)-1)
 	}
-	if insDiff, remDiff := diff.Counts(); insDiff.Total() == 0 || remDiff.Total() == 0 {
+	if install, remove := diff.Size(); install == 0 || remove == 0 {
 		return Row{}, fmt.Errorf("failover produced an empty reroute diff")
 	}
 

@@ -11,6 +11,7 @@ import (
 	"merlin/internal/ternary"
 	"merlin/internal/topo"
 	"merlin/internal/verify"
+	"merlin/internal/workpool"
 )
 
 // Hub is the tenant-scale negotiator: one coordinator replacing a tree of
@@ -446,25 +447,12 @@ func (h *Hub) Tick() (TickReport, error) {
 	// outcome identical for every pool size.
 	changed := make([][]sessionUndo, len(works))
 	workers := h.opts.Workers
-	if workers <= 0 || workers > len(works) {
+	if workers <= 0 {
 		workers = len(works)
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				changed[i] = h.tickShard(works[i].sh, works[i].pending)
-			}
-		}()
-	}
-	for i := range works {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	workpool.Do(len(works), workers, func(i int) {
+		changed[i] = h.tickShard(works[i].sh, works[i].pending)
+	})
 	// Merge in shard order: fold changed allocations into the
 	// per-statement table, remembering old values for rollback.
 	type allocUndo struct {

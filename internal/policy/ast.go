@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"merlin/internal/pred"
@@ -212,22 +213,26 @@ func FormulaIDs(f Formula) []string {
 	return out
 }
 
-// FormatRate renders a bit-per-second rate using the policy units.
+// FormatRate renders a bit-per-second rate using the policy units. The
+// number is written without an exponent, in the shortest form that
+// parses back to the same value, so a rendered policy re-parses to the
+// rates it was rendered from.
 func FormatRate(bps float64) string {
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 	abs := math.Abs(bps)
 	switch {
 	case abs >= 8e9 && math.Mod(bps, 8e9) == 0:
-		return fmt.Sprintf("%gGB/s", bps/8e9)
+		return num(bps/8e9) + "GB/s"
 	case abs >= 8e6 && math.Mod(bps, 8e6) == 0:
-		return fmt.Sprintf("%gMB/s", bps/8e6)
+		return num(bps/8e6) + "MB/s"
 	case abs >= 1e9 && math.Mod(bps, 1e9) == 0:
-		return fmt.Sprintf("%gGbps", bps/1e9)
+		return num(bps/1e9) + "Gbps"
 	case abs >= 1e6 && math.Mod(bps, 1e6) == 0:
-		return fmt.Sprintf("%gMbps", bps/1e6)
+		return num(bps/1e6) + "Mbps"
 	case abs >= 1e3 && math.Mod(bps, 1e3) == 0:
-		return fmt.Sprintf("%gkbps", bps/1e3)
+		return num(bps/1e3) + "kbps"
 	default:
-		return fmt.Sprintf("%gbps", bps)
+		return num(bps) + "bps"
 	}
 }
 

@@ -427,6 +427,37 @@ func TestFormatRate(t *testing.T) {
 	}
 }
 
+// TestFormatRateRoundTrip: a policy rendered with non-round rates (the
+// rates an AIMD tick produces) re-parses to the same rates, and rendering
+// the re-parsed policy is a fixed point.
+func TestFormatRateRoundTrip(t *testing.T) {
+	base := MustParse(paperExample, Env{})
+	for _, bps := range []float64{3062500, 1234.5, 123456789, 12.25e9, 0.125, 7e21} {
+		pol := &Policy{
+			Statements: base.Statements,
+			Formula: ConjFormula(
+				Max{Expr: BandExpr{IDs: []string{"x", "y"}}, Rate: bps},
+				Min{Expr: BandExpr{IDs: []string{"z"}}, Rate: bps},
+			),
+		}
+		src := pol.String()
+		re, err := Parse(src, Env{})
+		if err != nil {
+			t.Fatalf("rate %v: rendered policy does not parse: %v\n%s", bps, err, src)
+		}
+		maxes, mins, err := Terms(re.Formula)
+		if err != nil || len(maxes) != 1 || len(mins) != 1 {
+			t.Fatalf("rate %v: re-parsed formula %s: %v", bps, re.Formula, err)
+		}
+		if maxes[0].Rate != bps || mins[0].Rate != bps {
+			t.Fatalf("rate %v re-parsed as %v/%v from %q", bps, maxes[0].Rate, mins[0].Rate, FormatRate(bps))
+		}
+		if again := re.String(); again != src {
+			t.Fatalf("rate %v: rendering is not a fixed point:\n%s\nvs\n%s", bps, src, again)
+		}
+	}
+}
+
 func TestStatementLookup(t *testing.T) {
 	pol := MustParse(paperExample, Env{})
 	if _, ok := pol.Statement("y"); !ok {

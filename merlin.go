@@ -32,13 +32,15 @@
 // provisioning solutions and their simplex bases) across calls, so a
 // small policy change recompiles only what it dirtied — re-solving only
 // the provisioning shards the change touched — and yields a device-level
-// diff rather than a full configuration:
+// diff rather than a full configuration. A Diff holds one ArtifactDiff
+// per compiled target (Diff.Backends), built-ins included: the entries
+// that target's backend must install and remove on each device.
 //
 //	c := merlin.NewCompiler(t, place, merlin.Options{})
 //	res, _ := c.Compile(pol)                                  // cold: full pipeline
 //	diff, _ := c.Update(merlin.Delta{Formula: newFormula})    // warm: caps patch / warm-started re-solve
-//	install, remove := diff.Counts()
-//	fmt.Println(install.Total(), remove.Total())
+//	install, remove := diff.Size()                            // entries, summed over every target
+//	fmt.Println(install, remove, diff.Backends["openflow"].Install)
 //
 // Code generation is pluggable: the compiler lowers every policy into a
 // target-neutral IR (Program) and registered dataplane backends render
@@ -209,8 +211,9 @@ var (
 	LookupBackend       = codegen.Lookup
 	BackendNames        = codegen.Names
 	DefaultTargets      = codegen.DefaultTargets
-	// IsBuiltinTarget reports whether a target's output lands in the
-	// legacy Output/typed-Diff sections (vs Outputs/Diff.Backends).
+	// IsBuiltinTarget reports whether a target is one of the four
+	// built-in backends. Every target, built-in or not, has its artifact
+	// in Result.Outputs and its delta in Diff.Backends.
 	IsBuiltinTarget = codegen.IsBuiltinTarget
 )
 

@@ -3,6 +3,7 @@ package merlin
 import (
 	"testing"
 
+	"merlin/internal/codegen"
 	"merlin/internal/openflow"
 	"merlin/internal/packet"
 	"merlin/internal/topo"
@@ -67,7 +68,7 @@ func TestCompilePaperExample(t *testing.T) {
 	if len(res.Output.TC) == 0 {
 		t.Error("no tc commands for the caps")
 	}
-	if len(res.Programs) == 0 {
+	if len(res.Outputs[codegen.TargetHost].Entries()) == 0 {
 		t.Error("no end-host programs for the caps")
 	}
 	// Guarantees produce queues.

@@ -2,7 +2,6 @@ package merlin
 
 import (
 	"merlin/internal/negotiate"
-	"merlin/internal/policy"
 )
 
 // Tenant-scale negotiation, re-exported from the negotiate substrate. A
@@ -56,38 +55,13 @@ func NewHub(pol *Policy, opts HubOptions) (*Hub, error) {
 // After binding, Stats mirrors the hub's counters (TenantsActive,
 // TicksBatched, VerifyCacheHits, ProposalsRejected).
 func (c *Compiler) WatchHub(h *Hub, onDiff func(*Diff)) {
-	c.mu.Lock()
-	old := c.hub
-	c.hub = h
-	c.mu.Unlock()
-	// Callback swaps happen outside c.mu: OnCommit takes the hub lock,
-	// which a committing tick holds while it recompiles through c.mu —
-	// the compiler lock must never wait on a hub lock.
-	if old != nil && old != h {
-		old.OnCommit(nil)
-	}
-	h.OnCommit(func(pol *policy.Policy, pathsChanged bool) error {
-		diff, err := c.compileDiff(pol)
-		if err != nil {
-			return err
-		}
-		if onDiff != nil {
-			onDiff(diff)
-		}
-		return nil
-	})
+	bindCommits(c, &c.hub, h, onDiff)
 }
 
 // UnwatchHub detaches the bound hub, if any: its commits no longer
 // reach this compiler, and Stats stops mirroring its counters.
 func (c *Compiler) UnwatchHub() {
-	c.mu.Lock()
-	old := c.hub
-	c.hub = nil
-	c.mu.Unlock()
-	if old != nil {
-		old.OnCommit(nil)
-	}
+	bindCommits(c, &c.hub, nil, nil)
 }
 
 // NegotiationShards returns the link-disjoint shard grouping the last

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"merlin/internal/codegen"
 )
 
 // sameResults asserts two compiled results are byte-identical across
@@ -25,7 +27,7 @@ func sameResults(t *testing.T, label string, got, want *Result) {
 	if !reflect.DeepEqual(got.Allocations, want.Allocations) {
 		t.Fatalf("%s: allocations differ", label)
 	}
-	if !reflect.DeepEqual(got.Programs, want.Programs) {
+	if !reflect.DeepEqual(got.Outputs[codegen.TargetHost], want.Outputs[codegen.TargetHost]) {
 		t.Fatalf("%s: end-host programs differ", label)
 	}
 	if !reflect.DeepEqual(got.Outputs, want.Outputs) {

@@ -90,7 +90,7 @@ func TestCompileTargetSubset(t *testing.T) {
 	if len(res.Outputs) != 1 {
 		t.Fatalf("subset compile emitted %d artifacts, want 1", len(res.Outputs))
 	}
-	if len(res.Output.TC) != 0 || len(res.Output.IPTables) != 0 || len(res.Output.Click) != 0 || len(res.Programs) != 0 {
+	if len(res.Output.TC) != 0 || len(res.Output.IPTables) != 0 || len(res.Output.Click) != 0 || res.Outputs[codegen.TargetHost] != nil {
 		t.Fatalf("untargeted sections populated: %+v", res.Counts())
 	}
 	if len(res.Output.Rules) != len(def.Output.Rules) {
@@ -126,7 +126,7 @@ func TestCapsOnlyPatchSharesP4Artifact(t *testing.T) {
 	if st := c.Stats(); st.PatchedCodegens != base.PatchedCodegens+1 {
 		t.Fatalf("cap change did not take the patch path: %+v", st)
 	}
-	if len(diff.InstallTC) == 0 || len(diff.RemoveTC) == 0 {
+	if tc := diff.Backends[codegen.TargetTC]; len(tc.Install) == 0 || len(tc.Remove) == 0 {
 		t.Fatalf("cap change produced no tc delta: %+v", diff)
 	}
 	pd, ok := diff.Backends[p4.Name]
@@ -159,9 +159,9 @@ func TestApplyTopoRoutesP4Diff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diff.InstallRules) == 0 || len(diff.RemoveRules) == 0 {
-		in, rm := diff.Counts()
-		t.Fatalf("reroute produced no OpenFlow delta: install %+v remove %+v", in, rm)
+	if of := diff.Backends[codegen.TargetOpenFlow]; len(of.Install) == 0 || len(of.Remove) == 0 {
+		in, rm := diff.Size()
+		t.Fatalf("reroute produced no OpenFlow delta: install %d remove %d", in, rm)
 	}
 	pd, ok := diff.Backends[p4.Name]
 	if !ok || pd.Empty() {

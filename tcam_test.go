@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"merlin/internal/codegen"
 	"merlin/internal/tcam"
 	"merlin/internal/topo"
 )
@@ -107,7 +108,7 @@ func TestApplyTopoRoutesTcamDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diff.InstallRules) == 0 || len(diff.RemoveRules) == 0 {
+	if of := diff.Backends[codegen.TargetOpenFlow]; len(of.Install) == 0 || len(of.Remove) == 0 {
 		t.Fatal("reroute produced no OpenFlow delta")
 	}
 	td, ok := diff.Backends[tcam.Name]
