@@ -1,6 +1,7 @@
 package merlin
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -1138,10 +1139,13 @@ func nodeName(ids *topo.IdentityTable, node topo.NodeID, fallback string) string
 // shared (callers must not mutate returned slices, which may alias it).
 func endpoints(p pred.Pred, t *Topology, ids *topo.IdentityTable, hosts []NodeID) (srcs, dsts []NodeID, err error) {
 	cubes, err := pred.PositiveCubes(p)
-	if err != nil {
-		// Expansion can blow up on heavily-negated predicates (the
+	if errors.Is(err, pred.ErrExpansionTooLarge) {
+		// Expansion blows up on heavily-negated predicates (the
 		// totality default). Such predicates pin no endpoints anyway.
 		return hosts, hosts, nil
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	var srcPin, dstPin []NodeID // small: typically one node each
 	srcAll, dstAll := false, false

@@ -6,6 +6,11 @@ import "fmt"
 // shallow, so hitting this indicates a pathological input.
 const maxExpandCubes = 1 << 16
 
+// ErrExpansionTooLarge reports that a classifier expansion exceeded its
+// cube budget. Callers that can fall back to a coarser classification
+// match it with errors.Is, also through wrapping layers such as ternary.
+var ErrExpansionTooLarge = fmt.Errorf("pred: classifier expansion too large (more than %d cubes)", maxExpandCubes)
+
 // PositiveCubes expands p into disjunctive normal form and returns the
 // positive literals of each satisfiable cube. It is the classifier
 // expansion code generation uses to turn a statement predicate into
@@ -14,7 +19,8 @@ const maxExpandCubes = 1 << 16
 // literals are enforced by the higher-priority rules of the statements
 // that own the negated values, so each rule needs only the positive
 // tests. Unsatisfiable cubes are dropped; a tautological predicate
-// yields one empty cube.
+// yields one empty cube. A DNF of more than maxExpandCubes cubes fails
+// with ErrExpansionTooLarge.
 func PositiveCubes(p Pred) ([][]Test, error) {
 	// Fast path: a pure conjunction of positive tests (the shape of
 	// nearly every compiled statement predicate) is its own single cube;
@@ -31,6 +37,13 @@ func PositiveCubes(p Pred) ([][]Test, error) {
 	}
 	n, err := toNNF(p, false)
 	if err != nil {
+		return nil, err
+	}
+	// Count before building: a doomed expansion (the totality default's
+	// negated disjunction multiplies out to 2^n cubes) then fails after
+	// one allocation-free walk instead of materializing the first
+	// maxExpandCubes cubes.
+	if _, err := countExpand(n); err != nil {
 		return nil, err
 	}
 	cubes, err := expandCubes(n)
@@ -136,7 +149,7 @@ func expandCubes(n nnf) ([][]nnfLit, error) {
 				return nil, err
 			}
 			if len(out)*len(sub) > maxExpandCubes {
-				return nil, fmt.Errorf("pred: classifier expansion too large")
+				return nil, ErrExpansionTooLarge
 			}
 			var next [][]nnfLit
 			for _, a := range out {
@@ -158,13 +171,53 @@ func expandCubes(n nnf) ([][]nnfLit, error) {
 				return nil, err
 			}
 			if len(out)+len(sub) > maxExpandCubes {
-				return nil, fmt.Errorf("pred: classifier expansion too large")
+				return nil, ErrExpansionTooLarge
 			}
 			out = append(out, sub...)
 		}
 		return out, nil
 	default:
 		return nil, fmt.Errorf("pred: unknown NNF node %T", n)
+	}
+}
+
+// countExpand returns len(expandCubes(n)) without building the cubes. It
+// applies expandCubes' budget checks to the same counts in the same
+// order, so it fails exactly when expandCubes would.
+func countExpand(n nnf) (int, error) {
+	switch x := n.(type) {
+	case nnfTrue, nnfLit:
+		return 1, nil
+	case nnfFalse:
+		return 0, nil
+	case nnfAnd:
+		out := 1
+		for _, part := range x.parts {
+			sub, err := countExpand(part)
+			if err != nil {
+				return 0, err
+			}
+			if out*sub > maxExpandCubes {
+				return 0, ErrExpansionTooLarge
+			}
+			out *= sub
+		}
+		return out, nil
+	case nnfOr:
+		out := 0
+		for _, part := range x.parts {
+			sub, err := countExpand(part)
+			if err != nil {
+				return 0, err
+			}
+			if out+sub > maxExpandCubes {
+				return 0, ErrExpansionTooLarge
+			}
+			out += sub
+		}
+		return out, nil
+	default:
+		return 0, fmt.Errorf("pred: unknown NNF node %T", n)
 	}
 }
 

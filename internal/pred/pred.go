@@ -97,17 +97,47 @@ func (Not) isPred()       {}
 
 func (TruePred) String() string  { return "true" }
 func (FalsePred) String() string { return "false" }
-func (t Test) String() string    { return fmt.Sprintf("%s = %s", t.Field, t.Value) }
+func (t Test) String() string    { return string(t.Field) + " = " + t.Value }
+func (a And) String() string     { return render(a) }
+func (o Or) String() string      { return render(o) }
+func (n Not) String() string     { return render(n) }
 
-func (a And) String() string {
-	return fmt.Sprintf("(%s and %s)", a.L.String(), a.R.String())
+// render writes p into one buffer in a single walk. Rendering each
+// subterm to its own string and splicing it into its parent's would copy
+// every byte once per enclosing connective — quadratic on the long
+// left-nested disjunction of the totality default statement.
+func render(p Pred) string {
+	var b strings.Builder
+	writePred(&b, p)
+	return b.String()
 }
 
-func (o Or) String() string {
-	return fmt.Sprintf("(%s or %s)", o.L.String(), o.R.String())
+func writePred(b *strings.Builder, p Pred) {
+	switch q := p.(type) {
+	case And:
+		b.WriteByte('(')
+		writePred(b, q.L)
+		b.WriteString(" and ")
+		writePred(b, q.R)
+		b.WriteByte(')')
+	case Or:
+		b.WriteByte('(')
+		writePred(b, q.L)
+		b.WriteString(" or ")
+		writePred(b, q.R)
+		b.WriteByte(')')
+	case Not:
+		b.WriteString("!(")
+		writePred(b, q.P)
+		b.WriteByte(')')
+	case Test:
+		b.WriteString(string(q.Field))
+		b.WriteString(" = ")
+		b.WriteString(q.Value)
+	default:
+		b.WriteString(p.String())
+	}
 }
-
-func (n Not) String() string { return "!(" + n.P.String() + ")" }
 
 // True and False are the constant predicates.
 var (
@@ -299,22 +329,29 @@ func (a *assignment) bind(l nnfLit) (bool, func()) {
 	return true, func() { delete(a.positive, l.field) }
 }
 
+// work is the search's pending conjunction: an immutable cons list, so
+// expanding a conjunction pushes its parts and each disjunct of a branch
+// is pushed onto the shared tail, both in time independent of the tail.
+type work struct {
+	head nnf
+	rest *work
+}
+
 // satisfy performs depth-first search over the conjunction of work items.
 // It processes items in order, expanding conjunctions in place and
 // branching on disjunctions, pruning any branch whose literals conflict
 // with the current assignment.
-func (a *assignment) satisfy(work []nnf) (bool, error) {
+func (a *assignment) satisfy(w *work) (bool, error) {
 	a.steps++
 	if a.steps > maxSearchSteps {
 		return false, ErrTooComplex
 	}
-	if len(work) == 0 {
+	if w == nil {
 		return true, nil
 	}
-	head, rest := work[0], work[1:]
-	switch h := head.(type) {
+	switch h := w.head.(type) {
 	case nnfTrue:
-		return a.satisfy(rest)
+		return a.satisfy(w.rest)
 	case nnfFalse:
 		return false, nil
 	case nnfLit:
@@ -323,20 +360,18 @@ func (a *assignment) satisfy(work []nnf) (bool, error) {
 			undo()
 			return false, nil
 		}
-		sat, err := a.satisfy(rest)
+		sat, err := a.satisfy(w.rest)
 		undo()
 		return sat, err
 	case nnfAnd:
-		expanded := make([]nnf, 0, len(h.parts)+len(rest))
-		expanded = append(expanded, h.parts...)
-		expanded = append(expanded, rest...)
+		expanded := w.rest
+		for i := len(h.parts) - 1; i >= 0; i-- {
+			expanded = &work{h.parts[i], expanded}
+		}
 		return a.satisfy(expanded)
 	case nnfOr:
 		for _, alt := range h.parts {
-			branch := make([]nnf, 0, 1+len(rest))
-			branch = append(branch, alt)
-			branch = append(branch, rest...)
-			sat, err := a.satisfy(branch)
+			sat, err := a.satisfy(&work{alt, w.rest})
 			if err != nil {
 				return false, err
 			}
@@ -346,7 +381,7 @@ func (a *assignment) satisfy(work []nnf) (bool, error) {
 		}
 		return false, nil
 	default:
-		return false, fmt.Errorf("pred: unknown NNF node %T", head)
+		return false, fmt.Errorf("pred: unknown NNF node %T", w.head)
 	}
 }
 
@@ -356,7 +391,7 @@ func Satisfiable(p Pred) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return newAssignment().satisfy([]nnf{n})
+	return newAssignment().satisfy(&work{head: n})
 }
 
 // Disjoint reports whether no packet matches both p and q.

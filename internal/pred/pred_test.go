@@ -1,6 +1,8 @@
 package pred
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -354,10 +356,278 @@ func BenchmarkImpliesDeep(b *testing.B) {
 	}
 	whole := atom("ip.proto", "6")
 	union := Disj(ps...)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Implies(union, whole); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// sprintfString is the reference renderer: each connective formats its
+// already-rendered operands. String must reproduce it byte for byte.
+func sprintfString(p Pred) string {
+	switch q := p.(type) {
+	case Test:
+		return fmt.Sprintf("%s = %s", q.Field, q.Value)
+	case And:
+		return fmt.Sprintf("(%s and %s)", sprintfString(q.L), sprintfString(q.R))
+	case Or:
+		return fmt.Sprintf("(%s or %s)", sprintfString(q.L), sprintfString(q.R))
+	case Not:
+		return "!(" + sprintfString(q.P) + ")"
+	default:
+		return p.String()
+	}
+}
+
+// satisfySlice is the reference search: satisfy over a work slice copied
+// at every conjunction and disjunct. satisfy must visit the same nodes
+// in the same order, so its step count, and hence where ErrTooComplex
+// fires, must match.
+func (a *assignment) satisfySlice(work []nnf) (bool, error) {
+	a.steps++
+	if a.steps > maxSearchSteps {
+		return false, ErrTooComplex
+	}
+	if len(work) == 0 {
+		return true, nil
+	}
+	head, rest := work[0], work[1:]
+	switch h := head.(type) {
+	case nnfTrue:
+		return a.satisfySlice(rest)
+	case nnfFalse:
+		return false, nil
+	case nnfLit:
+		ok, undo := a.bind(h)
+		if !ok {
+			undo()
+			return false, nil
+		}
+		sat, err := a.satisfySlice(rest)
+		undo()
+		return sat, err
+	case nnfAnd:
+		expanded := make([]nnf, 0, len(h.parts)+len(rest))
+		expanded = append(expanded, h.parts...)
+		expanded = append(expanded, rest...)
+		return a.satisfySlice(expanded)
+	case nnfOr:
+		for _, alt := range h.parts {
+			branch := make([]nnf, 0, 1+len(rest))
+			branch = append(branch, alt)
+			branch = append(branch, rest...)
+			sat, err := a.satisfySlice(branch)
+			if err != nil {
+				return false, err
+			}
+			if sat {
+				return true, nil
+			}
+		}
+		return false, nil
+	default:
+		return false, fmt.Errorf("pred: unknown NNF node %T", head)
+	}
+}
+
+// allPairs is one predicate (src and dst) per ordered pair of hosts
+// hosts; hosts = 54 (fattree-k6) gives the 2 862 pairs of Fig. 8c.
+func allPairs(hosts int) []Pred {
+	var ps []Pred
+	for s := 0; s < hosts; s++ {
+		for d := 0; d < hosts; d++ {
+			if s != d {
+				ps = append(ps, Conj(atom("eth.src", "h"+itoa(s)), atom("eth.dst", "h"+itoa(d))))
+			}
+		}
+	}
+	return ps
+}
+
+// allPairsDefault is the totality default statement of an all-pairs
+// policy: !(p1 or … or pN).
+func allPairsDefault(hosts int) Pred { return Negate(Disj(allPairs(hosts)...)) }
+
+// wideDisj is the left-nested disjunction of n distinct tcp.dst atoms.
+func wideDisj(n int) Pred {
+	ps := make([]Pred, n)
+	for i := range ps {
+		ps[i] = atom("tcp.dst", itoa(i))
+	}
+	return Disj(ps...)
+}
+
+// budgetChain conjoins n independent two-way disjunctions with a trailing
+// contradiction, so the search must visit every one of the 2^n branches.
+func budgetChain(n int) Pred {
+	p := True
+	for i := 0; i < n; i++ {
+		f := "custom.f" + itoa(i)
+		p = Conj(p, Disj(atom(f, "0"), atom(f, "1")))
+	}
+	return Conj(p, atom("ip.proto", "6"), atom("ip.proto", "7"))
+}
+
+func TestStringMatchesSprintfOracle(t *testing.T) {
+	check := func(seed int64, depth uint8) bool {
+		p := randomPred(rand.New(rand.NewSource(seed)), int(depth%6))
+		return p.String() == sprintfString(p)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Pred{allPairsDefault(12), Negate(wideDisj(500)), Conj(Negate(wideDisj(50)), atom("ip.proto", "6"))} {
+		if got, want := p.String(), sprintfString(p); got != want {
+			t.Fatalf("String differs from oracle:\n got %.200q\nwant %.200q", got, want)
+		}
+	}
+}
+
+// checkSatOracle asserts satisfy and satisfySlice agree on p: verdict,
+// error and step count. It returns satisfy's error.
+func checkSatOracle(t *testing.T, p Pred) error {
+	t.Helper()
+	n, err := toNNF(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := newAssignment(), newAssignment()
+	got, gotErr := a.satisfy(&work{head: n})
+	want, wantErr := b.satisfySlice([]nnf{n})
+	if got != want || errors.Is(gotErr, ErrTooComplex) != errors.Is(wantErr, ErrTooComplex) || (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("satisfy = %v, %v; oracle = %v, %v for %.200s", got, gotErr, want, wantErr, p)
+	}
+	if a.steps != b.steps {
+		t.Fatalf("satisfy took %d steps, oracle %d, for %.200s", a.steps, b.steps, p)
+	}
+	return gotErr
+}
+
+func TestSatisfyMatchesSliceOracle(t *testing.T) {
+	check := func(seed int64, depth uint8) bool {
+		p := randomPred(rand.New(rand.NewSource(seed)), int(depth%6))
+		checkSatOracle(t, p)
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	protos := make([]Pred, 256)
+	for i := range protos {
+		protos[i] = atom("ip.proto", itoa(i))
+	}
+	for _, p := range []Pred{
+		allPairsDefault(20), // the shape Covers sees: satisfiable
+		Conj(allPairsDefault(12), atom("eth.src", "h3")), // a pinned source forces second disjuncts
+		Negate(Disj(protos...)),                          // unsatisfiable by domain exhaustion
+		Negate(Disj(protos[1:]...)),                      // one protocol left
+		budgetChain(10),
+	} {
+		checkSatOracle(t, p)
+	}
+	if !testing.Short() {
+		// Past the step budget: both searches must give up with
+		// ErrTooComplex after the same number of steps.
+		if err := checkSatOracle(t, budgetChain(23)); !errors.Is(err, ErrTooComplex) {
+			t.Fatalf("budgetChain(23): err = %v, want ErrTooComplex", err)
+		}
+	}
+}
+
+// checkCountOracle asserts countExpand fails exactly when expandCubes does
+// and otherwise counts its cubes.
+func checkCountOracle(t *testing.T, p Pred) {
+	t.Helper()
+	n, err := toNNF(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count, countErr := countExpand(n)
+	cubes, cubesErr := expandCubes(n)
+	if errors.Is(countErr, ErrExpansionTooLarge) != errors.Is(cubesErr, ErrExpansionTooLarge) || (countErr == nil) != (cubesErr == nil) {
+		t.Fatalf("countExpand err = %v, expandCubes err = %v for %.200s", countErr, cubesErr, p)
+	}
+	if countErr == nil && count != len(cubes) {
+		t.Fatalf("countExpand = %d, len(expandCubes) = %d for %.200s", count, len(cubes), p)
+	}
+}
+
+func TestCountExpandMatchesExpandCubes(t *testing.T) {
+	check := func(seed int64, depth uint8) bool {
+		p := randomPred(rand.New(rand.NewSource(seed)), int(depth%6))
+		checkCountOracle(t, p)
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	twoWay := func(n int) Pred {
+		p := True
+		for i := 0; i < n; i++ {
+			p = Conj(p, Disj(atom("tcp.dst", itoa(i)), atom("udp.dst", itoa(i))))
+		}
+		return p
+	}
+	// full has exactly maxExpandCubes cubes. (A maxExpandCubes-wide
+	// left-nested Or would do too, but expandCubes copies its growing
+	// cube list at every level, quadratically.)
+	full := Conj(wideDisj(256), wideDisj(256))
+	for _, p := range []Pred{
+		twoWay(15), twoWay(16), twoWay(17), // 2^16 is the last size that fits
+		full, Conj(wideDisj(256), wideDisj(257)),
+		Or{full, False}, Or{full, True}, Or{atom("ip.proto", "6"), full},
+		And{False, Or{full, True}}, // an empty product still checks later parts
+		And{full, False},
+		allPairsDefault(5),  // 20 pairs: 2^20 cubes
+		allPairsDefault(54), // the 2 862-pair totality default
+	} {
+		checkCountOracle(t, p)
+	}
+	if _, err := PositiveCubes(allPairsDefault(54)); !errors.Is(err, ErrExpansionTooLarge) {
+		t.Fatalf("PositiveCubes(totality default) err = %v, want ErrExpansionTooLarge", err)
+	}
+}
+
+var (
+	sinkString string
+	sinkBool   bool
+	sinkCubes  [][]Test
+)
+
+func BenchmarkFormatTotalityDefault(b *testing.B) {
+	p := allPairsDefault(54)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkString = Format(p)
+	}
+}
+
+func BenchmarkCoversAllPairs(b *testing.B) {
+	ps := allPairs(54)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ok, err := Covers(True, ps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkBool = ok
+	}
+}
+
+func BenchmarkPositiveCubesTotalityDefault(b *testing.B) {
+	p := allPairsDefault(54)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cubes, err := PositiveCubes(p)
+		if !errors.Is(err, ErrExpansionTooLarge) {
+			b.Fatalf("err = %v, want ErrExpansionTooLarge", err)
+		}
+		sinkCubes = cubes
 	}
 }

@@ -1,6 +1,7 @@
 package ternary
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -261,7 +262,7 @@ func TestExpandCubeOverflow(t *testing.T) {
 		))
 	}
 	_, err := Expand(pred.Conj(parts...), Options{})
-	if err == nil || !strings.Contains(err.Error(), "too large") {
+	if !errors.Is(err, pred.ErrExpansionTooLarge) {
 		t.Fatalf("expected cube-overflow error, got %v", err)
 	}
 	// The estimator prices the same predicate without materializing.
