@@ -229,22 +229,23 @@ func isTopoValidationError(err error) bool {
 //     the cable lands in the dirty set and provisioning re-solves exactly
 //     the shards whose product graphs can ride it, warm-started from
 //     their cached bases (the model shape is unchanged).
-//   - LinkDown/SwitchDown: automaton-derived artifacts are invalidated
-//     selectively, by cable incidence. Anchored per-statement product
-//     graphs are evicted only when an edge rides an affected cable;
-//     minimized best-effort graphs get the same scoping, and a sink tree
-//     falls with its graph (tree edges are a subset of graph edges, so a
-//     surviving graph's trees still describe the degraded topology
-//     exactly). Shard-local re-provisioning follows from the graph
-//     identity checks: rebuilt graphs force a cold shard solve, untouched
-//     shards are served from the previous solution.
+//   - LinkDown/SwitchDown: automaton-derived artifacts are touched
+//     selectively, by cable incidence, and repaired rather than rebuilt.
+//     Anchored per-statement product graphs and minimized best-effort
+//     graphs with an edge on an affected cable are patched in place
+//     (logical.Graph.WithoutLinks: byte-identical to a cold build on the
+//     degraded topology); the rest are kept as they are. A patched
+//     graph's sink trees survive unless a used path crossed an affected
+//     cable. Shard-local re-provisioning follows from the graph identity
+//     checks: patched graphs force a cold shard solve, untouched shards
+//     are served from the previous solution.
 //   - LinkUp/SwitchUp: invalidation is selective here too, by outage
 //     stamp. Every product graph records the cables that were down when
 //     it was built; a recovery evicts exactly the graphs whose stamp
 //     contains a restored cable. The others cannot gain edges from the
 //     restoration: a graph built while the cable was live either already
-//     rides it — in which case the failure evicted it and its rebuild
-//     carries the outage stamp — or provably never could. The
+//     rides it — in which case the failure patched it and stamped it with
+//     the outage — or provably never could. The
 //     provisioning artifact is kept: surviving graphs have no edges on
 //     restored cables, so their shards reuse outright, and rebuilt graphs
 //     force cold shard solves through the graph identity checks. A
@@ -335,11 +336,10 @@ func (c *Compiler) applyTopoEvents(events []TopoEvent) error {
 		}
 		c.downCables = next
 		if up {
-			// Selective recovery: evict exactly the artifacts built while a
-			// restored cable was down — only they can gain edges from the
-			// restoration. Anything else saw the cable live when it was
-			// built and already proved it cannot ride it (or was evicted by
-			// the failure and rebuilt with an outage stamp).
+			// Selective recovery: evict exactly the artifacts built (or
+			// patched) while a restored cable was down — only they can gain
+			// edges from the restoration. Anything else saw the cable live
+			// when it was built and already proved it cannot ride it.
 			for _, art := range c.stmts {
 				if art.anchored != nil && outageIntersects(art.outage, cables) {
 					art.anchored = nil
@@ -367,26 +367,29 @@ func (c *Compiler) applyTopoEvents(events []TopoEvent) error {
 				}
 			}
 		} else {
-			for _, art := range c.stmts {
-				if art.anchored != nil && graphCrossesCables(c.t, art.anchored, cables) {
-					art.anchored = nil
-					c.stats.AnchoredInvalidated++
-				}
-			}
-			// Best-effort artifacts get the same cable-incidence scoping: a
-			// minimized graph with no edge on an affected cable (and every
-			// sink tree hanging off it — tree edges are a subset) still
+			// A product graph with no edge on an affected cable still
 			// describes the degraded topology exactly. Graphs that do cross
 			// are repaired in place rather than rebuilt: dropping the edges
 			// on affected cables and re-pruning equals a cold build on the
-			// degraded topology byte for byte (logical.Graph.WithoutLinks).
-			// Each surviving graph's sink trees are then kept when none of
-			// their used paths crossed an affected cable — only such a path
-			// could change the reverse BFS's distances or tie-breaks
+			// degraded topology byte for byte (logical.Graph.WithoutLinks),
+			// and the repaired graph is stamped with the outage it now
+			// reflects.
+			ride := func(l topo.LinkID) bool { return cables[c.t.Cable(l)] }
+			for _, art := range c.stmts {
+				if art.anchored != nil && graphCrossesCables(c.t, art.anchored, cables) {
+					art.anchored = art.anchored.WithoutLinks(ride)
+					art.outage = c.downCables
+					c.stats.AnchoredInvalidated++
+				}
+			}
+			// Best-effort artifacts get the same scoping and repair. Each
+			// patched minimized graph's sink trees (tree edges are a subset
+			// of graph edges) are then kept when none of their used paths
+			// crossed an affected cable — only such a path could change
+			// the reverse BFS's distances or tie-breaks
 			// (sinktree.Tree.RidesLinks) — and rebuilt otherwise. Patched
 			// keys are collected so the tree cache is swept once, not once
 			// per patched graph.
-			ride := func(l topo.LinkID) bool { return cables[c.t.Cable(l)] }
 			var patched map[string]bool
 			for key, ga := range c.graphs {
 				if !graphCrossesCables(c.t, ga.g, cables) {

@@ -97,7 +97,10 @@ func TestCompilerLinkDownRoundTrip(t *testing.T) {
 	}
 	st := c.Stats()
 	if got := st.AnchoredInvalidated - base.AnchoredInvalidated; got != 2 {
-		t.Fatalf("failure invalidated %d anchored graphs, want only pod 0's 2", got)
+		t.Fatalf("failure touched %d anchored graphs, want only pod 0's 2", got)
+	}
+	if st.AnchoredBuilds != base.AnchoredBuilds {
+		t.Fatalf("failure rebuilt %d anchored graphs, want 0 (patched in place)", st.AnchoredBuilds-base.AnchoredBuilds)
 	}
 	if st.ShardsSolved != base.ShardsSolved+1 || st.ShardsReused != base.ShardsReused+k-1 {
 		t.Fatalf("failure was not shard-local: %+v -> %+v", base, st)

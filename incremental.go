@@ -134,10 +134,11 @@ type stmtArtifact struct {
 
 	anchored    *logical.Graph // guaranteed statements' product graph
 	anchoredGen int
-	// outage is the compiler's down-cable set when anchored was built (a
-	// shared immutable map; nil means full connectivity). A recovery evicts
-	// the graph only when it restores a cable in this set — any other graph
-	// already saw the restored cable live and cannot gain edges from it.
+	// outage is the compiler's down-cable set when anchored was built or
+	// last patched for a failure (a shared immutable map; nil means full
+	// connectivity). A recovery evicts the graph only when it restores a
+	// cable in this set — any other graph already saw the restored cable
+	// live and cannot gain edges from it.
 	outage map[topo.LinkID]bool
 }
 
@@ -214,8 +215,10 @@ type CompilerStats struct {
 	PatchedCodegens int
 	// TopoEvents counts applied topology events (Delta.Topo / ApplyTopo);
 	// AnchoredInvalidated counts the per-statement anchored product graphs
-	// those events evicted — for a link failure, only the statements whose
-	// graphs crossed the failed cable.
+	// those events touched: patched in place on a failure — only the
+	// statements whose graphs crossed the failed cable, and byte-identical
+	// to a cold build on the degraded topology, so no AnchoredBuilds
+	// follow — and evicted on a recovery, which rebuilds them.
 	TopoEvents          int
 	AnchoredInvalidated int
 	// GraphsInvalidated and TreesInvalidated count the minimized

@@ -140,14 +140,15 @@ func Regions(t *topo.Topology, want int) (names, hosts [][]string) {
 // cables in skip as down, node down (pass -1 for none) as failed, and —
 // when allowed is non-nil — refusing to traverse nodes outside allowed
 // (src and dst are always admitted).
-func reachable(t *topo.Topology, src, dst topo.NodeID, skip map[topo.LinkID]bool, down topo.NodeID, allowed map[topo.NodeID]bool) bool {
+func reachable(t *topo.Topology, src, dst topo.NodeID, skip map[topo.LinkID]bool, down topo.NodeID, allowed []bool) bool {
 	if src == down || dst == down {
 		return false
 	}
 	if src == dst {
 		return true
 	}
-	seen := map[topo.NodeID]bool{src: true}
+	seen := make([]bool, t.NumNodes())
+	seen[src] = true
 	frontier := []topo.NodeID{src}
 	for len(frontier) > 0 {
 		n := frontier[0]
@@ -173,19 +174,26 @@ func reachable(t *topo.Topology, src, dst topo.NodeID, skip map[topo.LinkID]bool
 	return false
 }
 
+// nodeSet returns the nodes of a region as a membership slice indexed by
+// node ID; names the topology does not know are ignored.
+func nodeSet(t *topo.Topology, names []string) []bool {
+	set := make([]bool, t.NumNodes())
+	for _, name := range names {
+		if id, ok := t.Lookup(name); ok {
+			set[id] = true
+		}
+	}
+	return set
+}
+
 // RegionConnects reports whether src still reaches dst through the named
 // region's nodes while the cable between skipA and skipB is down (pass
 // empty names to skip nothing) — the feasibility probe failure-schedule
 // generation and failover benchmarks share.
 func RegionConnects(t *topo.Topology, region []string, src, dst, skipA, skipB string) bool {
-	var allowed map[topo.NodeID]bool
+	var allowed []bool
 	if len(region) > 0 {
-		allowed = map[topo.NodeID]bool{}
-		for _, name := range region {
-			if id, ok := t.Lookup(name); ok {
-				allowed[id] = true
-			}
-		}
+		allowed = nodeSet(t, region)
 	}
 	skip := map[topo.LinkID]bool{}
 	if skipA != "" && skipB != "" {

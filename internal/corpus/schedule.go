@@ -51,9 +51,10 @@ func genSchedule(sc *Scenario, rng *rand.Rand) error {
 		}
 		return cables[i].b < cables[j].b
 	})
+	check := newOutageCheck(sc)
 	var flaps []cable
 	for _, c := range cables {
-		if scheduleSafe(sc, map[topo.LinkID]bool{c.id: true}, -1) {
+		if check.safe(map[topo.LinkID]bool{c.id: true}, -1) {
 			flaps = append(flaps, c)
 		}
 	}
@@ -72,7 +73,7 @@ func genSchedule(sc *Scenario, rng *rand.Rand) error {
 		if hasHost {
 			continue
 		}
-		if scheduleSafe(sc, skip, s) {
+		if check.safe(skip, s) {
 			storms = append(storms, s)
 		}
 	}
@@ -130,38 +131,80 @@ func genSchedule(sc *Scenario, rng *rand.Rand) error {
 	return nil
 }
 
-// scheduleSafe reports whether the policy survives an outage: with the
-// given cables down (and optionally a switch, pass -1 for none), all
-// hosts and middleboxes must stay mutually connected (best-effort and
-// chain statements stay routable) and every region-confined guarantee
-// must stay routable inside its region.
-func scheduleSafe(sc *Scenario, skip map[topo.LinkID]bool, down topo.NodeID) bool {
+// outageCheck decides whether the policy survives an outage: with the
+// given cables down (and optionally a switch), all hosts and middleboxes
+// must stay mutually connected (best-effort and chain statements stay
+// routable) and every region-confined guarantee must stay routable inside
+// its region. What does not depend on the outage — the nodes that must
+// stay connected, each guarantee's endpoints and region — is resolved
+// once per scenario, not once per candidate.
+type outageCheck struct {
+	t       *topo.Topology
+	root    topo.NodeID
+	must    []topo.NodeID // every other host and middlebox must reach root
+	regions []regionCheck
+}
+
+// regionCheck is one region-confined guarantee: src must reach dst
+// through allowed nodes. ok is false when an endpoint does not resolve.
+type regionCheck struct {
+	src, dst topo.NodeID
+	allowed  []bool
+	ok       bool
+}
+
+func newOutageCheck(sc *Scenario) *outageCheck {
 	t := sc.Topology
 	hosts := t.Hosts()
-	root := hosts[0]
-	for _, h := range hosts[1:] {
-		if !reachable(t, root, h, skip, down, nil) {
-			return false
-		}
-	}
-	for _, m := range t.Middleboxes() {
-		if !reachable(t, root, m, skip, down, nil) {
-			return false
-		}
+	oc := &outageCheck{
+		t:    t,
+		root: hosts[0],
+		must: append(append([]topo.NodeID(nil), hosts[1:]...), t.Middleboxes()...),
 	}
 	for _, g := range sc.Guarantee {
 		if len(g.Region) == 0 {
 			continue
 		}
-		allowed := map[topo.NodeID]bool{}
-		for _, name := range g.Region {
-			if id, ok := t.Lookup(name); ok {
-				allowed[id] = true
-			}
-		}
 		src, okS := t.Lookup(g.Src)
 		dst, okD := t.Lookup(g.Dst)
-		if !okS || !okD || !reachable(t, src, dst, skip, down, allowed) {
+		oc.regions = append(oc.regions, regionCheck{
+			src: src, dst: dst, allowed: nodeSet(t, g.Region), ok: okS && okD,
+		})
+	}
+	return oc
+}
+
+// safe reports whether the policy survives the outage of the cables in
+// skip and of node down (pass -1 for none).
+func (oc *outageCheck) safe(skip map[topo.LinkID]bool, down topo.NodeID) bool {
+	// One search from the root decides every host and middlebox; a
+	// failed root reaches nothing.
+	seen := make([]bool, oc.t.NumNodes())
+	var queue []topo.NodeID
+	if oc.root != down {
+		seen[oc.root] = true
+		queue = append(queue, oc.root)
+	}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, l := range oc.t.Out(n) {
+			if !oc.t.LinkIsUp(l) || skip[oc.t.Cable(l)] {
+				continue
+			}
+			if m := oc.t.Link(l).Dst; m != down && !seen[m] {
+				seen[m] = true
+				queue = append(queue, m)
+			}
+		}
+	}
+	for _, n := range oc.must {
+		if !seen[n] {
+			return false
+		}
+	}
+	for _, r := range oc.regions {
+		if !r.ok || !reachable(oc.t, r.src, r.dst, skip, down, r.allowed) {
 			return false
 		}
 	}

@@ -1,9 +1,9 @@
 package regex
 
 import (
-	"fmt"
+	"encoding/binary"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // DFA is a complete deterministic automaton: every state has exactly one
@@ -17,72 +17,105 @@ type DFA struct {
 }
 
 // Determinize performs the subset construction, producing a complete DFA.
+// It computes a subset's successor once per symbol class of the NFA's
+// edges (see symClasses), all classes in one pass over the edges, and
+// fills the per-symbol rows from the class results. Successors are
+// registered in class order — the order of each class's lowest symbol —
+// so DFA states are numbered exactly as a per-symbol construction
+// discovers them.
 func (n *NFA) Determinize() *DFA {
 	size := n.Alphabet.Size()
-	// Index NFA edges by source for the move computation.
-	outByState := make([][]Edge, n.States)
-	for _, e := range n.Edges {
-		outByState[e.From] = append(outByState[e.From], e)
+	cls := newSymClasses(size)
+	for i := range n.Edges {
+		cls.refineSet(n.Edges[i].Set)
 	}
-	key := func(set []bool) string {
-		var sb strings.Builder
-		for q, in := range set {
-			if in {
-				fmt.Fprintf(&sb, "%d,", q)
+	k := len(cls.rep)
+	// The classes each edge's set contains: edge j's are
+	// edgeCls[clsAt[j]:clsAt[j+1]].
+	clsAt := make([]int, len(n.Edges)+1)
+	var edgeCls []int32
+	for j := range n.Edges {
+		e := &n.Edges[j]
+		for c, sym := range cls.rep {
+			if e.Set.Has(sym) {
+				edgeCls = append(edgeCls, int32(c))
 			}
 		}
-		return sb.String()
+		clsAt[j+1] = len(edgeCls)
 	}
-	start := make([]bool, n.States)
-	start[n.Start] = true
-	n.closure(start)
-
+	words := (n.States + 63) / 64
+	accept := NewSymSet(n.States)
+	for q, a := range n.Accept {
+		if a {
+			accept.Add(q)
+		}
+	}
 	d := &DFA{Alphabet: n.Alphabet}
+	var trans []int // DFA state i's successor on class c is trans[i*k+c]
 	ids := map[string]int{}
-	var sets [][]bool
-	newState := func(set []bool) int {
-		k := key(set)
-		if id, ok := ids[k]; ok {
+	var sets []uint64 // DFA state i's NFA subset is sets[i*words : (i+1)*words]
+	key := make([]byte, 8*words)
+	newState := func(set []uint64) int {
+		// Subsets are keyed by their fixed-width bitset bytes.
+		for i, w := range set {
+			binary.LittleEndian.PutUint64(key[8*i:], w)
+		}
+		if id, ok := ids[string(key)]; ok {
 			return id
 		}
 		id := d.States
 		d.States++
-		ids[k] = id
-		sets = append(sets, set)
+		ids[string(key)] = id
+		sets = append(sets, set...)
 		acc := false
-		for q, in := range set {
-			if in && n.Accept[q] {
+		for i, w := range set {
+			if w&accept[i] != 0 {
 				acc = true
 				break
 			}
 		}
 		d.Accept = append(d.Accept, acc)
-		d.Trans = append(d.Trans, make([]int, size))
 		return id
 	}
-	d.Start = newState(start)
+	// The epsilon closure of a subset is the union of its members'
+	// closures, so each state's closure is computed once, on first use.
+	var stack []int
+	closAt := make([]int32, n.States) // state → 1 + offset of its closure in clos; 0 until computed
+	var clos []uint64
+	closure := func(q int) []uint64 {
+		if at := closAt[q]; at > 0 {
+			return clos[at-1 : int(at-1)+words]
+		}
+		at := len(clos)
+		clos = append(clos, make([]uint64, words)...)
+		set := SymSet(clos[at : at+words])
+		set.Add(q)
+		stack = n.closure(set, stack)
+		closAt[q] = int32(at + 1)
+		return set
+	}
+	d.Start = newState(closure(n.Start))
+	next := make([]uint64, k*words) // class c's successor subset is next[c*words : (c+1)*words]
 	for work := 0; work < d.States; work++ {
-		set := sets[work]
-		for sym := 0; sym < size; sym++ {
-			next := make([]bool, n.States)
-			any := false
-			for q, in := range set {
-				if !in {
-					continue
-				}
-				for _, e := range outByState[q] {
-					if e.Set.Has(sym) {
-						next[e.To] = true
-						any = true
-					}
+		clear(next)
+		set := SymSet(sets[work*words : (work+1)*words])
+		for j := range n.Edges {
+			if !set.Has(n.Edges[j].From) {
+				continue
+			}
+			to := closure(n.Edges[j].To)
+			for _, c := range edgeCls[clsAt[j]:clsAt[j+1]] {
+				dst := next[int(c)*words : (int(c)+1)*words]
+				for x, cw := range to {
+					dst[x] |= cw
 				}
 			}
-			if any {
-				n.closure(next)
-			}
-			d.Trans[work][sym] = newState(next)
+		}
+		for c := 0; c < k; c++ {
+			trans = append(trans, newState(next[c*words:(c+1)*words]))
 		}
 	}
+	d.Trans = cls.expand(trans, d.States)
 	return d
 }
 
@@ -102,16 +135,27 @@ func (d *DFA) Complement() *DFA {
 }
 
 // Intersect returns the product DFA accepting the intersection of the two
-// languages. Both automata must share the same alphabet.
+// languages. Both automata must share the same alphabet. Each product
+// state does one pair lookup per joint symbol class — symbols whose
+// transition columns agree in both operands — visited in order of lowest
+// symbol, so states are numbered as a per-symbol construction would.
 func (d *DFA) Intersect(o *DFA) *DFA {
 	if d.Alphabet != o.Alphabet {
 		panic("regex: intersecting DFAs over different alphabets")
 	}
 	size := d.Alphabet.Size()
+	cls := newSymClasses(size)
+	for _, row := range d.Trans {
+		cls.refineRow(row, d.States)
+	}
+	for _, row := range o.Trans {
+		cls.refineRow(row, o.States)
+	}
 	type pair struct{ a, b int }
 	ids := map[pair]int{}
 	var pairs []pair
 	out := &DFA{Alphabet: d.Alphabet}
+	var trans []int // product state i's successor on class c is trans[i*k+c]
 	newState := func(p pair) int {
 		if id, ok := ids[p]; ok {
 			return id
@@ -121,16 +165,16 @@ func (d *DFA) Intersect(o *DFA) *DFA {
 		ids[p] = id
 		pairs = append(pairs, p)
 		out.Accept = append(out.Accept, d.Accept[p.a] && o.Accept[p.b])
-		out.Trans = append(out.Trans, make([]int, size))
 		return id
 	}
 	out.Start = newState(pair{d.Start, o.Start})
 	for work := 0; work < out.States; work++ {
-		p := pairs[work]
-		for sym := 0; sym < size; sym++ {
-			out.Trans[work][sym] = newState(pair{d.Trans[p.a][sym], o.Trans[p.b][sym]})
+		ra, rb := d.Trans[pairs[work].a], o.Trans[pairs[work].b]
+		for _, sym := range cls.rep {
+			trans = append(trans, newState(pair{ra[sym], rb[sym]}))
 		}
 	}
+	out.Trans = cls.expand(trans, out.States)
 	return out
 }
 
@@ -192,7 +236,11 @@ func (d *DFA) Witness() []string {
 }
 
 // Minimize returns an equivalent DFA with the minimum number of states,
-// using Hopcroft's partition-refinement algorithm.
+// using Hopcroft's partition-refinement algorithm. Refinement runs on one
+// representative symbol per distinct transition column of the reachable
+// states — symbols with equal columns always split blocks alike — and
+// visits the blocks a splitter cuts in ascending-state first-touch order,
+// so the block (state) numbering is a function of the input alone.
 func (d *DFA) Minimize() *DFA {
 	size := d.Alphabet.Size()
 	// Restrict to reachable states first.
@@ -211,25 +259,34 @@ func (d *DFA) Minimize() *DFA {
 		}
 	}
 	n := len(order)
-	accept := make([]bool, n)
-	trans := make([][]int, n)
-	for newID, oldID := range order {
-		accept[newID] = d.Accept[oldID]
-		row := make([]int, size)
-		for sym, to := range d.Trans[oldID] {
-			row[sym] = reach[to]
+	cls := newSymClasses(size)
+	for _, q := range order {
+		cls.refineRow(d.Trans[q], d.States)
+	}
+	k := len(cls.rep)
+	// succ(q, c) is the renumbered successor of state q on class c.
+	succ := func(q, c int) int { return reach[d.Trans[order[q]][cls.rep[c]]] }
+	// Reverse transitions per class, CSR-style: class c owns
+	// revOff[c*(n+1) : (c+1)*(n+1)] and revList[c*n : (c+1)*n], and the
+	// predecessors of state q on class c are its revList span between
+	// offsets q and q+1, in ascending order.
+	revOff := make([]int32, k*(n+1))
+	revList := make([]int32, k*n)
+	var pos []int32
+	for c := 0; c < k; c++ {
+		off := revOff[c*(n+1) : (c+1)*(n+1)]
+		for q := 0; q < n; q++ {
+			off[succ(q, c)+1]++
 		}
-		trans[newID] = row
-	}
-	// Reverse transition lists for the refinement step.
-	rev := make([][][]int, size)
-	for sym := 0; sym < size; sym++ {
-		rev[sym] = make([][]int, n)
-	}
-	for q := 0; q < n; q++ {
-		for sym := 0; sym < size; sym++ {
-			to := trans[q][sym]
-			rev[sym][to] = append(rev[sym][to], q)
+		for q := 0; q < n; q++ {
+			off[q+1] += off[q]
+		}
+		fill := revList[c*n : (c+1)*n]
+		pos = append(pos[:0], off[:n]...)
+		for q := 0; q < n; q++ {
+			to := succ(q, c)
+			fill[pos[to]] = int32(q)
+			pos[to]++
 		}
 	}
 	// Initial partition: accepting vs non-accepting.
@@ -237,7 +294,7 @@ func (d *DFA) Minimize() *DFA {
 	var blocks [][]int
 	var accBlock, rejBlock []int
 	for q := 0; q < n; q++ {
-		if accept[q] {
+		if d.Accept[order[q]] {
 			accBlock = append(accBlock, q)
 		} else {
 			rejBlock = append(rejBlock, q)
@@ -251,49 +308,69 @@ func (d *DFA) Minimize() *DFA {
 		}
 		return id
 	}
+	inWork := make([]bool, n) // blocks never outnumber states
 	var worklist []int
-	if len(accBlock) > 0 {
-		worklist = append(worklist, addBlock(accBlock))
+	for _, states := range [][]int{accBlock, rejBlock} {
+		if len(states) > 0 {
+			b := addBlock(states)
+			worklist = append(worklist, b)
+			inWork[b] = true
+		}
 	}
-	if len(rejBlock) > 0 {
-		worklist = append(worklist, addBlock(rejBlock))
-	}
-	inWork := make(map[int]bool)
-	for _, b := range worklist {
-		inWork[b] = true
-	}
+	inX := make([]bool, n)
+	hits := make([]int, n)   // per block: states of X in it, 0 between splits
+	firstX := make([]int, n) // per block: its lowest state in X
+	var splitter, xs, affected []int
 	for len(worklist) > 0 {
 		a := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
 		inWork[a] = false
-		splitter := append([]int(nil), blocks[a]...)
-		for sym := 0; sym < size; sym++ {
-			// X = states with a sym-transition into block a.
-			inX := make(map[int]bool)
+		splitter = append(splitter[:0], blocks[a]...)
+		for c := 0; c < k; c++ {
+			// X = states with a class-c transition into block a.
+			xs = xs[:0]
+			base := c * (n + 1)
 			for _, q := range splitter {
-				for _, p := range rev[sym][q] {
-					inX[p] = true
+				for _, p := range revList[c*n+int(revOff[base+q]) : c*n+int(revOff[base+q+1])] {
+					if !inX[p] {
+						inX[p] = true
+						xs = append(xs, int(p))
+					}
 				}
 			}
-			if len(inX) == 0 {
+			if len(xs) == 0 {
 				continue
 			}
-			// Split every block crossed by X.
-			affected := make(map[int]bool)
-			for p := range inX {
-				affected[part[p]] = true
+			// Split every block crossed by X, in ascending-state
+			// first-touch order: by each block's lowest state in X.
+			affected = affected[:0]
+			for _, p := range xs {
+				b := part[p]
+				if hits[b] == 0 {
+					affected = append(affected, b)
+					firstX[b] = p
+				}
+				firstX[b] = min(firstX[b], p)
+				hits[b]++
 			}
-			for b := range affected {
-				var yes, no []int
-				for _, q := range blocks[b] {
+			slices.SortFunc(affected, func(x, y int) int { return firstX[x] - firstX[y] })
+			for _, b := range affected {
+				rest := len(blocks[b]) - hits[b]
+				hits[b] = 0
+				if rest == 0 {
+					continue
+				}
+				// Stable in-place split: X's states stay in block b, the
+				// rest move to a new block.
+				states := blocks[b]
+				no := make([]int, 0, rest)
+				yes := states[:0]
+				for _, q := range states {
 					if inX[q] {
 						yes = append(yes, q)
 					} else {
 						no = append(no, q)
 					}
-				}
-				if len(yes) == 0 || len(no) == 0 {
-					continue
 				}
 				blocks[b] = yes
 				newID := addBlock(no)
@@ -311,6 +388,9 @@ func (d *DFA) Minimize() *DFA {
 					}
 				}
 			}
+			for _, p := range xs {
+				inX[p] = false
+			}
 		}
 	}
 	// Build the quotient automaton.
@@ -319,17 +399,16 @@ func (d *DFA) Minimize() *DFA {
 		States:   len(blocks),
 		Start:    part[0], // state 0 is the renumbered start
 		Accept:   make([]bool, len(blocks)),
-		Trans:    make([][]int, len(blocks)),
 	}
+	trans := make([]int, 0, len(blocks)*k)
 	for b, states := range blocks {
 		q := states[0]
-		out.Accept[b] = accept[q]
-		row := make([]int, size)
-		for sym := 0; sym < size; sym++ {
-			row[sym] = part[trans[q][sym]]
+		out.Accept[b] = d.Accept[order[q]]
+		for c := 0; c < k; c++ {
+			trans = append(trans, part[succ(q, c)])
 		}
-		out.Trans[b] = row
 	}
+	out.Trans = cls.expand(trans, len(blocks))
 	return out
 }
 

@@ -51,7 +51,8 @@ func (a *Alphabet) Size() int { return len(a.names) }
 // Names returns the interned names in symbol order. Do not modify.
 func (a *Alphabet) Names() []string { return a.names }
 
-// SymSet is a bitset over an alphabet's symbols.
+// SymSet is a bitset over an alphabet's symbols. The automata kernels use
+// the same representation for sets of states.
 type SymSet []uint64
 
 // NewSymSet returns an empty set sized for n symbols.
@@ -256,47 +257,49 @@ func (n *NFA) build(e Expr) (int, int, error) {
 	}
 }
 
-// closure expands set (a bitset of states) to its epsilon closure in place.
-func (n *NFA) closure(set []bool) {
-	stack := make([]int, 0, n.States)
-	for q, in := range set {
-		if in {
-			stack = append(stack, q)
+// closure expands set, a set of states, to its epsilon closure in place,
+// using stack as scratch; it returns the stack for reuse.
+func (n *NFA) closure(set SymSet, stack []int) []int {
+	stack = stack[:0]
+	for i, w := range set {
+		for ; w != 0; w &= w - 1 {
+			stack = append(stack, i*64+bits.TrailingZeros64(w))
 		}
 	}
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, r := range n.Eps[q] {
-			if !set[r] {
-				set[r] = true
+			if !set.Has(r) {
+				set.Add(r)
 				stack = append(stack, r)
 			}
 		}
 	}
+	return stack
 }
 
 // Matches reports whether the sequence of location names is in the NFA's
 // language. Unknown names never match.
 func (n *NFA) Matches(path []string) bool {
-	cur := make([]bool, n.States)
-	cur[n.Start] = true
-	n.closure(cur)
+	cur := NewSymSet(n.States)
+	cur.Add(n.Start)
+	stack := n.closure(cur, nil)
 	for _, name := range path {
 		sym := n.Alphabet.Symbol(name)
-		next := make([]bool, n.States)
+		next := NewSymSet(n.States)
 		if sym >= 0 {
 			for _, e := range n.Edges {
-				if cur[e.From] && e.Set.Has(sym) {
-					next[e.To] = true
+				if cur.Has(e.From) && e.Set.Has(sym) {
+					next.Add(e.To)
 				}
 			}
 		}
-		n.closure(next)
+		stack = n.closure(next, stack)
 		cur = next
 	}
-	for q, in := range cur {
-		if in && n.Accept[q] {
+	for q, acc := range n.Accept {
+		if acc && cur.Has(q) {
 			return true
 		}
 	}
@@ -329,12 +332,14 @@ func (n *NFA) EpsFree() *EpsFree {
 	for _, e := range n.Edges {
 		outByState[e.From] = append(outByState[e.From], e)
 	}
+	set := NewSymSet(n.States)
+	var stack []int
 	for q := 0; q < n.States; q++ {
-		set := make([]bool, n.States)
-		set[q] = true
-		n.closure(set)
-		for r, in := range set {
-			if !in {
+		clear(set)
+		set.Add(q)
+		stack = n.closure(set, stack)
+		for r := 0; r < n.States; r++ {
+			if !set.Has(r) {
 				continue
 			}
 			if n.Accept[r] {
