@@ -74,11 +74,12 @@ func timedSolve(t *topo.Topology, reqs []provision.Request, h provision.Heuristi
 }
 
 // SolverRun measures one case and cross-checks that all three engines
-// picked the same paths: the tie-break perturbations make the optimum
-// generically unique, the compact formulation preserves the legacy
+// picked the same paths: the compact formulation preserves the legacy
 // model's feasible set and objective over the path variables, and the
-// network simplex solves the identical cost structure — so any
-// divergence is an engine bug, not solver freedom.
+// network simplex solves the identical cost structure. The tie-break
+// perturbations do not separate every pair of equally short paths (see
+// tieBreak in internal/provision), so a divergence means an engine bug or
+// an exact tie, which the engines break differently.
 func SolverRun(c SolverCase) (Row, error) {
 	t := topo.FatTree(c.K, topo.Gbps)
 	reqs, err := tenantRequests(t, c.K, c.GuaranteesPerTenant)

@@ -8,10 +8,11 @@
 // unimodularity argument of network-flow theory).
 //
 // The implementation keeps the classic tree arrays (parent, parent-arc,
-// depth) plus node potentials, prices with Bland's least-index entering
-// rule for determinism, and bounds pivots so a (theoretically possible)
-// degenerate cycle degrades into a clean Limit status the caller can fall
-// back from, never a hang.
+// depth, child/sibling links) plus node potentials, re-derives potentials
+// and depths only inside the subtree each pivot re-hangs, prices with
+// Bland's least-index entering rule for determinism, and bounds pivots so
+// a (theoretically possible) degenerate cycle degrades into a clean Limit
+// status the caller can fall back from, never a hang.
 package netflow
 
 import "math"
@@ -103,60 +104,40 @@ func Solve(p Problem) Solution {
 	stat := make([]int8, total)
 
 	// Initial strongly feasible tree: every node hangs off the artificial
-	// root through an artificial arc oriented along its supply.
+	// root through an artificial arc oriented along its supply. Children
+	// are kept as first-child / next-sibling / prev-sibling links so a
+	// pivot can re-hang one subtree in place.
 	parent := make([]int, n+1)
 	parc := make([]int, n+1) // arc connecting node to its parent
 	depth := make([]int, n+1)
-	parent[root], parc[root], depth[root] = -1, -1, 0
+	pot := make([]float64, n+1) // node potentials, root pinned at 0
+	child := make([]int, n+1)
+	next := make([]int, n+1)
+	prev := make([]int, n+1)
+	parent[root], parc[root], depth[root], child[root] = -1, -1, 0, -1
 	for v := 0; v < n; v++ {
 		ai := nArcs + v
 		s := p.Supply[v]
+		capac[ai], cost[ai] = math.Inf(1), bigM
 		if s >= 0 {
 			from[ai], to[ai] = v, root
 			flow[ai] = s
+			pot[v] = cost[ai] + pot[root] // v → root: cost - pot[v] + pot[root] = 0
 		} else {
 			from[ai], to[ai] = root, v
 			flow[ai] = -s
+			pot[v] = pot[root] - cost[ai]
 		}
-		capac[ai], cost[ai] = math.Inf(1), bigM
 		stat[ai] = inTree
 		parent[v], parc[v], depth[v] = root, ai, 1
+		child[v], prev[v], next[v] = -1, v-1, v+1 // the root's children, in index order
+	}
+	if n > 0 {
+		child[root], next[n-1] = 0, -1
 	}
 
-	pot := make([]float64, n+1)     // node potentials, root pinned at 0
-	kids := make([][]int, n+1)      // rebuilt each sweep from parent
-	order := make([]int, 0, n+1)    // BFS order for potential/depth sweeps
 	cycleArc := make([]int, 0, n+1) // pivot scratch
 	cycleFwd := make([]bool, 0, n+1)
-
-	// sweep recomputes potentials and depths for the whole tree — O(n) per
-	// pivot, plenty for the shard-sized instances this package serves.
-	sweep := func() {
-		for v := range kids {
-			kids[v] = kids[v][:0]
-		}
-		for v := 0; v <= n; v++ {
-			if parent[v] >= 0 {
-				kids[parent[v]] = append(kids[parent[v]], v)
-			}
-		}
-		pot[root], depth[root] = 0, 0
-		order = append(order[:0], root)
-		for qi := 0; qi < len(order); qi++ {
-			u := order[qi]
-			for _, v := range kids[u] {
-				a := parc[v]
-				if from[a] == v { // v → u: cost - pot[v] + pot[u] = 0
-					pot[v] = cost[a] + pot[u]
-				} else { // u → v
-					pot[v] = pot[u] - cost[a]
-				}
-				depth[v] = depth[u] + 1
-				order = append(order, v)
-			}
-		}
-	}
-	sweep()
 
 	maxPivots := 64*(total+1) + 1024
 	pivots := 0
@@ -295,19 +276,58 @@ func Solve(p Problem) Solution {
 		if !inSub(eu) {
 			sub, keep = ev, eu
 		}
-		// Reverse the chain sub → ... → lchild.
+		// Reverse the chain sub → ... → lchild, moving each node from its
+		// old parent's child list to its new parent's.
 		prevNode, prevArc := keep, ent
 		x := sub
 		for {
 			nextNode, nextArc := parent[x], parc[x]
+			if prev[x] >= 0 {
+				next[prev[x]] = next[x]
+			} else {
+				child[nextNode] = next[x]
+			}
+			if next[x] >= 0 {
+				prev[next[x]] = prev[x]
+			}
 			parent[x], parc[x] = prevNode, prevArc
+			prev[x], next[x] = -1, child[prevNode]
+			if child[prevNode] >= 0 {
+				prev[child[prevNode]] = x
+			}
+			child[prevNode] = x
 			if x == lchild {
 				break
 			}
 			prevNode, prevArc = x, nextArc
 			x = nextNode
 		}
-		sweep()
+		// Only the re-hung subtree changed its root paths, so only its
+		// potentials and depths move. Walk it in preorder (parents before
+		// children) from sub, using the same per-arc formula as the
+		// initial tree, so every potential is bit-identical to a full
+		// recomputation.
+		x = sub
+		for {
+			u, a := parent[x], parc[x]
+			if from[a] == x { // x → u: cost - pot[x] + pot[u] = 0
+				pot[x] = cost[a] + pot[u]
+			} else { // u → x
+				pot[x] = pot[u] - cost[a]
+			}
+			depth[x] = depth[u] + 1
+			if child[x] >= 0 {
+				x = child[x]
+				continue
+			}
+			for x != sub && next[x] < 0 {
+				x = parent[x]
+			}
+			if x == sub {
+				break
+			}
+			x = next[x]
+		}
 	}
 
 	// Any residual artificial flow means the supplies cannot be routed.

@@ -7,9 +7,8 @@
 package openflow
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"merlin/internal/packet"
 	"merlin/internal/pred"
@@ -88,41 +87,66 @@ type Rule struct {
 	Actions  []Action
 }
 
-// String renders a compact human-readable form.
+// String renders a compact human-readable form,
+// "sw=S prio=P [match,...] -> action,...". Backends diff artifacts by these
+// strings on every update, so it renders into one buffer.
 func (r Rule) String() string {
-	var parts []string
+	b := make([]byte, 0, 96)
+	b = append(b, "sw="...)
+	b = strconv.AppendInt(b, int64(r.Switch), 10)
+	b = append(b, " prio="...)
+	b = strconv.AppendInt(b, int64(r.Priority), 10)
+	b = append(b, " ["...)
+	first := true
+	sep := func() {
+		if !first {
+			b = append(b, ',')
+		}
+		first = false
+	}
 	if r.Match.InPort != MatchAny {
-		parts = append(parts, fmt.Sprintf("in=%d", r.Match.InPort))
+		sep()
+		b = strconv.AppendInt(append(b, "in="...), int64(r.Match.InPort), 10)
 	}
 	if r.Match.VLAN != MatchAny {
-		parts = append(parts, fmt.Sprintf("vlan=%d", r.Match.VLAN))
+		sep()
+		b = strconv.AppendInt(append(b, "vlan="...), int64(r.Match.VLAN), 10)
 	}
 	if r.Match.EthSrc != "" {
-		parts = append(parts, "src="+r.Match.EthSrc)
+		sep()
+		b = append(append(b, "src="...), r.Match.EthSrc...)
 	}
 	if r.Match.EthDst != "" {
-		parts = append(parts, "dst="+r.Match.EthDst)
+		sep()
+		b = append(append(b, "dst="...), r.Match.EthDst...)
 	}
 	if r.Match.Predicate != nil {
-		parts = append(parts, pred.Format(r.Match.Predicate))
+		sep()
+		b = append(b, pred.Format(r.Match.Predicate)...)
 	}
-	var acts []string
+	b = append(b, "] -> "...)
+	first = true
 	for _, a := range r.Actions {
 		switch act := a.(type) {
 		case Output:
-			acts = append(acts, fmt.Sprintf("output:%d", act.Port))
+			sep()
+			b = strconv.AppendInt(append(b, "output:"...), int64(act.Port), 10)
 		case SetVLAN:
-			acts = append(acts, fmt.Sprintf("set_vlan:%d", act.VLAN))
+			sep()
+			b = strconv.AppendInt(append(b, "set_vlan:"...), int64(act.VLAN), 10)
 		case StripVLAN:
-			acts = append(acts, "strip_vlan")
+			sep()
+			b = append(b, "strip_vlan"...)
 		case Enqueue:
-			acts = append(acts, fmt.Sprintf("enqueue:%d:%d", act.Port, act.Queue))
+			sep()
+			b = strconv.AppendInt(append(b, "enqueue:"...), int64(act.Port), 10)
+			b = strconv.AppendInt(append(b, ':'), int64(act.Queue), 10)
 		case Drop:
-			acts = append(acts, "drop")
+			sep()
+			b = append(b, "drop"...)
 		}
 	}
-	return fmt.Sprintf("sw=%d prio=%d [%s] -> %s",
-		r.Switch, r.Priority, strings.Join(parts, ","), strings.Join(acts, ","))
+	return string(b)
 }
 
 // PacketFunction is a middlebox/host packet-processing function: one packet

@@ -6,8 +6,11 @@
 // solves each block exactly with no branch and bound. The costs are the
 // exact per-edge costs buildModel would emit (hop epsilon, deterministic
 // tie-breaking perturbation, and the WSP rate term), so the fast path
-// lands on the same generically unique optimum as the general MIP — the
-// differential fuzz harness cross-checks the two paths case by case.
+// optimizes the same objective as the general MIP and lands on the same
+// paths whenever the optimum is unique. The perturbation does not
+// guarantee uniqueness (see tieBreak): on an exact tie the two engines may
+// pick different optimal paths. The differential fuzz harness cross-checks
+// the two paths case by case.
 
 package provision
 

@@ -127,8 +127,8 @@ type Params struct {
 	// rows into the simplex engine's implicit variable bounds — one or two
 	// rows per cable and no r_uv column — which shrinks every shard's
 	// basis. Both encodings admit the same x assignments with identical
-	// objectives, so they choose the same (generically unique) optimum;
-	// the flag exists so the solver bench can measure the gap.
+	// objectives, so they share one set of optimal path choices; the flag
+	// exists so the solver bench can measure the gap.
 	LegacyModel bool
 	// NoNetflow disables the network-simplex fast path: shards whose
 	// capacity rows are provably redundant normally skip the general MIP
@@ -369,15 +369,17 @@ func buildModel(t *topo.Topology, reqs []Request, h Heuristic, eps float64, p Pa
 	// perturbation derived only from the request ID and the edge's index
 	// in its own product graph, so it is identical whether the request is
 	// modeled inside the monolithic MIP or its shard's. Under the
-	// separable WeightedShortestPath objective that makes the optimum
-	// generically unique, so sharded and monolithic solves choose the
-	// same vertex and the differential harness can compare allocations
+	// separable WeightedShortestPath objective that separates most
+	// alternative paths, so sharded and monolithic solves usually choose
+	// the same vertex and the differential harness can compare allocations
 	// link by link. (The min-max objectives retain a documented freedom:
 	// a non-bottleneck shard minimizes its own local maximum, which the
 	// monolithic objective ignores, so below-bottleneck routing may
 	// legitimately differ.) The perturbation is bounded by eps/100 per
 	// edge, so it can never outweigh a hop: path choice is unchanged
 	// except among paths the unperturbed objective cannot tell apart.
+	// Some of those it cannot tell apart either: they tie exactly (see
+	// tieBreak).
 	for i, r := range reqs {
 		jitter := idJitter(r.ID)
 		for e, ed := range r.Graph.Edges {
@@ -412,12 +414,18 @@ func idJitter(id string) float64 {
 	return float64(h) / float64(1<<32)
 }
 
-// tieBreak maps (request jitter, edge index) to [0, 1e-2): a low-
-// discrepancy sequence keyed by the golden ratio, cheap and collision-
-// resistant enough that two distinct paths virtually never tie. The band
-// is sized so per-path sums stay below one hop's cost for paths under a
-// hundred edges (keeping hop counts exact) while path-choice differences
-// stay well above the solver's 1e-9 tolerances.
+// tieBreak maps (request jitter, edge index) to [0, 1e-2): the fractional
+// part of jitter + (e+1)φ, a low-discrepancy sequence keyed by the golden
+// ratio. The band is sized so per-path sums stay below one hop's cost for
+// paths under a hundred edges, keeping hop counts exact. It does not make
+// distinct paths cost distinct amounts: the sequence is linear in the edge
+// index, so a path of k perturbed edges sums to
+// 1e-2·(k·jitter + φ·Σ(e+1) − Σ floors), and two paths with equal k, equal
+// Σ(e+1) and equal floor sums tie exactly, up to float rounding far below
+// the solvers' 1e-9 tolerances. Edges {2, 8, 21} and {3, 12, 16} of one
+// zoo-topology product graph are such a pair (Σ(e+1) = 34 for both). Each
+// engine then breaks the tie by its own deterministic pivoting rules, and
+// the engines need not agree.
 func tieBreak(jitter float64, e int) float64 {
 	const phi = 0.6180339887498949
 	x := jitter + float64(e+1)*phi

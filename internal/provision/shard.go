@@ -169,10 +169,10 @@ func solveComponents(t *topo.Topology, reqs []Request, comps [][]int, h Heuristi
 					kind[ci] = 2
 					return
 				}
-				// A shape-matched predecessor makes this a cheap re-solve
-				// whichever engine runs: the general path warm-starts from
-				// the cached basis, the fast path re-runs the network
-				// simplex (prev.Basis nil) in a few tree pivots.
+				// A shape-matched predecessor warm-starts the general path
+				// from its cached basis. The network-simplex fast path
+				// keeps no basis (prev.Basis is nil): it restarts every
+				// request from the artificial basis and solves it cold.
 				warm = prev.Basis
 				kind[ci] = 1
 			} else if len(comps) == 1 && p.Warm != nil {
